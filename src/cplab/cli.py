@@ -20,7 +20,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,25 +28,23 @@ from . import __version__
 from .basis import OperatorBasis, standard_basis
 from .dynamics import (
     DensityMatrix,
+    doubled_evolution,
     evolution_map,
     is_completely_positive,
-    tensor_extension,
 )
 from .errors import (
     ConfigError,
     CplabError,
     DimensionMismatch,
-    NegativeTime,
     NotCompletelyPositive,
 )
 from .generator import (
     GKSGenerator,
     LindbladGenerator,
-    Superoperator,
     gks_to_lindblad,
     lindblad_to_gks,
 )
-from .linalg import POSITIVITY_TOL, fro_norm, hermiticity_deviation, matrix_exp
+from .linalg import POSITIVITY_TOL, fro_norm, hermiticity_deviation
 from .witness import (
     NegativityScan,
     NoNegativeDirection,
@@ -174,17 +172,20 @@ def _resolve_tolerance(cli_tol, config_tol) -> float:
     return POSITIVITY_TOL
 
 
+def _read_json(path: str, what: str):
+    """Parse a JSON file; unreadable or malformed files raise :class:`ConfigError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
+
+
 def load_config(args) -> ProblemConfig:
     """Read, validate and normalize the problem configuration."""
-    raw: dict = {}
-    if args.config is not None:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from None
+    raw = {} if args.config is None else _read_json(args.config, "config")
     if not isinstance(raw, dict):
         raise ConfigError("config: top level must be a JSON object")
 
@@ -305,12 +306,12 @@ class AnalysisReport:
     """
 
     command: str
-    verdict: dict | None
-    witness: dict | None
-    no_negative_direction: dict | None
-    scan: dict | None
-    extra: dict
     provenance: dict
+    verdict: dict | None = None
+    witness: dict | None = None
+    no_negative_direction: dict | None = None
+    scan: dict | None = None
+    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.verdict is not None:
@@ -404,8 +405,6 @@ def cmd_check_cp(config: ProblemConfig) -> tuple[AnalysisReport, int]:
         verdict=_verdict_dict(verdict),
         witness=None if witness is None else _witness_dict(witness),
         no_negative_direction=no_dir,
-        scan=None,
-        extra={},
         provenance=_provenance(config),
     )
     return report, EXIT_OK if verdict.is_cp else EXIT_NOT_CP
@@ -420,7 +419,6 @@ def cmd_witness(config: ProblemConfig, bell_fixture: bool = False) -> tuple[Anal
         witness=None if witness is None else _witness_dict(witness),
         no_negative_direction=no_dir,
         scan=None if scan is None else _scan_dict(scan),
-        extra={},
         provenance=_provenance(config),
     )
     return report, EXIT_OK if verdict.is_cp else EXIT_NOT_CP
@@ -445,10 +443,6 @@ def cmd_convert(config: ProblemConfig) -> tuple[AnalysisReport, int]:
         }
     report = AnalysisReport(
         command="convert",
-        verdict=None,
-        witness=None,
-        no_negative_direction=None,
-        scan=None,
         extra={"generator": payload},
         provenance=_provenance(config),
     )
@@ -460,13 +454,7 @@ def _load_state(path: str | None, config: ProblemConfig, field: str) -> DensityM
         if config.initial_state is not None:
             return config.initial_state
         raise ConfigError(f"{field}: no state supplied and the preset provides none")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read state: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"state is not valid JSON: {exc}") from None
+    raw = _read_json(path, "state")
     if not isinstance(raw, dict):
         raise ConfigError(f"{field}: expected a JSON object")
     try:
@@ -485,28 +473,20 @@ def _load_state(path: str | None, config: ProblemConfig, field: str) -> DensityM
 def cmd_evolve(config: ProblemConfig, state: DensityMatrix, t: float) -> tuple[AnalysisReport, int]:
     d = config.dim
     if state.dim == d:
-        propagator = evolution_map(config.gks, t)
+        evolved = evolution_map(config.gks, t).apply(state.matrix)
         mode = "single"
     elif state.dim == d * d:
-        if t < 0:
-            raise NegativeTime(f"evolution time must be nonnegative, got {t}")
-        ext = tensor_extension(config.gks)
-        propagator = Superoperator(dim=d * d, matrix=matrix_exp(t * ext.matrix))
+        (evolved,) = doubled_evolution(config.gks, state.matrix, (t,))
         mode = "extended"
     else:
         raise DimensionMismatch(
             f"state dimension {state.dim} is neither d={d} nor d^2={d * d}"
         )
-    evolved = propagator.apply(state.matrix)
     herm = (evolved + evolved.conj().T) / 2.0
     low = float(np.linalg.eigvalsh(herm)[0])
     violated = low < -config.tolerance * max(1.0, fro_norm(herm))
     report = AnalysisReport(
         command="evolve",
-        verdict=None,
-        witness=None,
-        no_negative_direction=None,
-        scan=None,
         extra={
             "time": t,
             "mode": mode,
@@ -522,13 +502,7 @@ def cmd_evolve(config: ProblemConfig, state: DensityMatrix, t: float) -> tuple[A
 
 
 def _load_pair(path: str, dim_sq: int) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read state: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"state is not valid JSON: {exc}") from None
+    raw = _read_json(path, "state")
     if not isinstance(raw, dict) or "psi" not in raw or "phi" not in raw:
         raise ConfigError("scan state: expected a JSON object with 'psi' and 'phi' vectors")
     psi = _vector_from_json(raw["psi"], "state.psi", dim_sq)
@@ -546,11 +520,7 @@ def cmd_scan(config: ProblemConfig, state_path: str | None) -> tuple[AnalysisRep
         if witness is None:
             report = AnalysisReport(
                 command="scan",
-                verdict=None,
-                witness=None,
                 no_negative_direction=no_dir,
-                scan=None,
-                extra={},
                 provenance=_provenance(config),
             )
             return report, EXIT_OK
@@ -558,11 +528,8 @@ def cmd_scan(config: ProblemConfig, state_path: str | None) -> tuple[AnalysisRep
     scan = negativity_scan(config.gks, psi, phi, t_grid=config.grid, tol=config.tolerance)
     report = AnalysisReport(
         command="scan",
-        verdict=None,
         witness=None if witness is None else _witness_dict(witness),
-        no_negative_direction=None,
         scan=_scan_dict(scan),
-        extra={},
         provenance=_provenance(config),
     )
     return report, EXIT_NOT_CP if scan.first_negative_time is not None else EXIT_OK

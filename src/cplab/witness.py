@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import OperatorBasis
-from .dynamics import tensor_extension
+from .dynamics import _join_factors, _split_factors, doubled_evolution
 from .errors import (
     DegenerateW,
     InconsistentVerdict,
@@ -37,17 +37,14 @@ from .errors import (
     TraceConditionViolated,
     ZeroVector,
 )
-from .generator import GKSGenerator
+from .generator import GKSGenerator, superoperator_of
 from .linalg import (
     POSITIVITY_TOL,
     eps_pos,
     fro_norm,
     hermitian_eig,
-    matrix_exp,
     require_square,
     similarity_to_transpose,
-    unvec,
-    vec,
 )
 
 #: Default scan grid; negativity is guaranteed only near t = 0, so the
@@ -146,14 +143,19 @@ def overlap_rate(g: GKSGenerator, phi, psi) -> float:
     """``<phi| (L kron I + I kron L)[|psi><psi|] |phi>`` for orthogonal vectors.
 
     This is the t = 0 derivative of the phi-overlap of the evolved
-    projector; Hermiticity preservation makes it real.
+    projector; Hermiticity preservation makes it real.  The doubled
+    generator acts on each tensor factor as ``S M + M S^T`` in the split
+    layout of :func:`doubled_evolution`, with ``S`` the single-copy
+    superoperator.
     """
     phi_v, psi_v = _pair_vectors(phi, psi, g.dim * g.dim)
     overlap = abs(np.vdot(phi_v, psi_v))
     if overlap > 1e-10 * max(1.0, np.linalg.norm(phi_v) * np.linalg.norm(psi_v)):
         raise NotOrthogonal(f"|<phi|psi>| = {overlap:.3e}, pair must be orthogonal")
-    ext = tensor_extension(g)
-    image = ext.apply(np.outer(psi_v, psi_v.conj()))
+    d = g.dim
+    base = superoperator_of(g).matrix
+    split = _split_factors(np.outer(psi_v, psi_v.conj()), d)
+    image = _join_factors(base @ split + split @ base.T, d)
     return float(np.vdot(phi_v, image @ phi_v).real)
 
 
@@ -251,12 +253,12 @@ def construct_witness(
 
 
 def symmetric_case_witness(g: GKSGenerator, tol: float = POSITIVITY_TOL):
-    """Witness via the fixed choice ``Phi = I/d``, valid for the real case.
+    """Witness via the fixed choice ``Phi = U U^T / d``, valid for the real case.
 
     Requires every basis element Hermitian and a real (symmetric)
     coefficient matrix; then the negative direction can be taken real, ``W``
-    is Hermitian, and in its eigenbasis ``W^T = W``, so no similarity solve
-    is needed.  Returns :class:`NotApplicable` when the hypotheses fail and
+    is Hermitian with eigenvectors ``U``, and ``Phi = U U^T / d`` conjugates
+    ``W`` into ``+W^T``, so no similarity solve is needed.  Returns :class:`NotApplicable` when the hypotheses fail and
     :class:`NoNegativeDirection` for a PSD coefficient matrix.
     """
     f = g.basis.elements
@@ -273,27 +275,8 @@ def symmetric_case_witness(g: GKSGenerator, tol: float = POSITIVITY_TOL):
     if vals[0] >= -cutoff:
         return NoNegativeDirection(min_coeff_eigenvalue=float(vals[0]))
     w = vecs[:, 0].astype(complex)
-    w_op = direction_operator(w, g.basis)
-    d = g.dim
-    w_vals, u = np.linalg.eigh(w_op)
-    phi_m = (u @ u.T) / d
-    psi_dag = d * (u.conj() * w_vals) @ u.conj().T
-    psi_m = psi_dag.conj().T
-    phi_v = phi_m.reshape(-1)
-    psi_v = psi_m.reshape(-1)
-    value = overlap_rate(g, phi_v, psi_v)
-    quad = float(np.vdot(w, g.coeff @ w).real)
-    return WitnessCandidate(
-        direction=w,
-        direction_operator=w_op,
-        phi_matrix=phi_m,
-        psi_matrix=psi_m,
-        phi=phi_v,
-        psi=psi_v,
-        value=value,
-        quadratic_form=quad,
-        transpose_sign=1,
-    )
+    _, u = np.linalg.eigh(direction_operator(w, g.basis))
+    return _candidate_from_direction(g, w, None, phi_matrix=(u @ u.T) / g.dim)
 
 
 def bell_phi_matrix() -> np.ndarray:
@@ -325,15 +308,12 @@ def negativity_scan(
         raise InvalidGrid("time grid must be nonempty, nonnegative and strictly increasing")
     phi_v, psi_v = _pair_vectors(phi, psi, g.dim * g.dim)
     psi_v = psi_v / np.linalg.norm(psi_v)
-    rho0 = np.outer(psi_v, psi_v.conj())
-    ext = tensor_extension(g).matrix
-    rho0_vec = vec(rho0)
+    states = doubled_evolution(g, np.outer(psi_v, psi_v.conj()), times)
 
     min_eigs = np.empty(times.size)
     overlaps = np.empty(times.size)
     first_negative = None
-    for idx, t in enumerate(times):
-        rho_t = unvec(matrix_exp(t * ext) @ rho0_vec, g.dim * g.dim)
+    for idx, (t, rho_t) in enumerate(zip(times, states)):
         herm = (rho_t + rho_t.conj().T) / 2.0
         low = float(np.linalg.eigvalsh(herm)[0])
         min_eigs[idx] = low

@@ -81,7 +81,7 @@ def test_criterion_01_coeff_vs_choi_equivalence():
                     choi_ok = False
             if coeff_ok != choi_ok:
                 failures.append(f"d={d} trial={trial}: coeff {coeff_ok} vs choi {choi_ok}")
-            verdict = is_completely_positive(g, t_samples=times)
+            verdict = is_completely_positive(g)
             if verdict.is_cp != coeff_ok:
                 failures.append(f"d={d} trial={trial}: verdict mismatch")
     _finish(1, "coefficient criterion <=> Choi sampling, 200 matrices per d in {2,3}", failures)

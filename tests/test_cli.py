@@ -4,9 +4,27 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cplab import Superoperator, tensor_extension
 from cplab.cli import main
+from cplab.linalg import matrix_exp
+
+from helpers import (
+    random_generator,
+    random_hermitian,
+    random_pure_vector,
+    random_traceless_hermitian,
+)
 
 DATA = Path(__file__).parent / "data"
+
+
+def _to_json(m):
+    return [[[z.real, z.imag] for z in row] for row in np.asarray(m, dtype=complex)]
+
+
+def _write_gks_config(path, h, coeff):
+    generator = {"hamiltonian": _to_json(h), "coeff": _to_json(coeff)}
+    path.write_text(json.dumps({"dim": h.shape[0], "generator": generator}))
 
 
 def _run(argv, capsys):
@@ -48,6 +66,21 @@ class TestCheckCpExamples:
         assert report["witness"]["quadratic_form"] == pytest.approx(-1.0)
         golden = json.loads((DATA / "golden_checkcp_negative.json").read_text())
         assert _canonical(report) == _canonical(golden)
+
+    def test_generated_d4_non_psd_exit_two_with_witness(self, tmp_path, capsys):
+        # ||C||_F ~ 28 hides the negativity from Choi spectra of exp(tL) at
+        # fixed sample times; the verdict must still certify non-CP.
+        rng = np.random.default_rng(7)
+        h = random_traceless_hermitian(4, rng)
+        coeff = random_hermitian(15, rng)
+        coeff -= (np.linalg.eigvalsh(coeff)[0] + 0.5) * np.eye(15)
+        cfg = tmp_path / "d4.json"
+        _write_gks_config(cfg, h, coeff)
+        code, out, _ = _run(["check-cp", "--config", str(cfg)], capsys)
+        assert code == 2
+        report = json.loads(out)
+        assert report["verdict"]["is_cp"] is False
+        assert report["witness"]["value"] < 0
 
     def test_malformed_matrix_exit_one_names_field(self, capsys):
         code, out, err = _run(["check-cp", "--config", str(DATA / "config_malformed.json")], capsys)
@@ -221,6 +254,26 @@ class TestEvolveCommand:
         report = json.loads(out)
         assert report["min_eigenvalue"] < -1e-9
         assert report["positivity_violated"] is True
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_doubled_state_matches_tensor_extension_reference(self, d, tmp_path, capsys):
+        rng = np.random.default_rng(50 + d)
+        coeff = random_hermitian(d * d - 1, rng)
+        g = random_generator(d, rng, coeff=coeff / np.linalg.norm(coeff))
+        cfg = tmp_path / "cfg.json"
+        _write_gks_config(cfg, g.hamiltonian, g.coeff)
+        v = random_pure_vector(d * d, rng)
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"vector": [[z.real, z.imag] for z in v]}))
+        t = 0.3
+        _, out, _ = _run(
+            ["evolve", "--config", str(cfg), "--state", str(state), "--time", str(t)], capsys
+        )
+        report = json.loads(out)
+        assert report["mode"] == "extended"
+        evolved = np.array([[complex(re, im) for re, im in row] for row in report["state"]])
+        propagator = Superoperator(dim=d * d, matrix=matrix_exp(t * tensor_extension(g).matrix))
+        np.testing.assert_allclose(evolved, propagator.apply(np.outer(v, v.conj())), atol=1e-12)
 
     def test_dimension_mismatch(self, tmp_path, capsys):
         state = tmp_path / "state.json"

@@ -22,6 +22,7 @@ from helpers import (
     random_generator,
     random_hermitian,
     random_psd,
+    random_traceless_hermitian,
     tensor_square_superop,
     transpose_superop,
 )
@@ -218,12 +219,23 @@ class TestIsCompletelyPositive:
             verdict = is_completely_positive(g)
             assert verdict.is_cp == (np.linalg.eigvalsh(g.coeff)[0] >= -1e-9)
 
-    def test_rejects_bad_time_samples(self):
-        g = _null_generator()
-        with pytest.raises(NegativeTime):
-            is_completely_positive(g, t_samples=())
-        with pytest.raises(NegativeTime):
-            is_completely_positive(g, t_samples=(-1.0,))
+    def test_shifted_coefficients_up_to_d5_are_not_cp(self):
+        # Coefficient matrices shifted to smallest eigenvalue -0.5 reach
+        # ||C||_F of 23-52 at d = 4, 5; Choi spectra of exp(tL) sampled at
+        # fixed times miss their negativity, the compressed Choi matrix of L
+        # does not.
+        rng = np.random.default_rng(7)
+        for d, count in ((2, 40), (3, 40), (4, 40), (5, 10)):
+            n = d * d - 1
+            for _ in range(count):
+                h = random_traceless_hermitian(d, rng)
+                coeff = random_hermitian(n, rng)
+                coeff -= (np.linalg.eigvalsh(coeff)[0] + 0.5) * np.eye(n)
+                g = random_generator(d, rng, coeff=coeff, hamiltonian=h)
+                verdict = is_completely_positive(g)
+                assert not verdict.is_cp
+                assert verdict.min_coeff_eigenvalue == pytest.approx(-0.5, abs=1e-12)
+                assert verdict.min_choi_eigenvalue == pytest.approx(-0.5, abs=1e-12)
 
 
 class TestPositivitySampling:

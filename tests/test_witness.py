@@ -17,6 +17,7 @@ from cplab import (
     similarity_to_transpose,
     standard_basis,
     symmetric_case_witness,
+    tensor_extension,
 )
 from cplab.errors import (
     InvalidGrid,
@@ -25,6 +26,7 @@ from cplab.errors import (
     ZeroVector,
 )
 from cplab.generator import _dissipator_superop, _hamiltonian_superop
+from cplab.linalg import matrix_exp
 
 from helpers import (
     random_generator,
@@ -311,3 +313,24 @@ def test_single_sided_extension_regression():
         value = float(np.vdot(phi, image @ phi).real)
         expected = float(np.vdot(u, g.coeff @ u).real)
         assert value == pytest.approx(expected, rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_doubled_dynamics_match_tensor_extension_reference(d):
+    rng = np.random.default_rng(40 + d)
+    coeff = random_hermitian(d * d - 1, rng)
+    g = random_generator(d, rng, coeff=coeff / np.linalg.norm(coeff))
+    psi = random_pure_vector(d * d, rng)
+    phi = random_pure_vector(d * d, rng)
+    phi -= np.vdot(psi, phi) * psi
+    ext = tensor_extension(g)
+    rho0 = np.outer(psi, psi.conj())
+    expected_rate = np.vdot(phi, ext.apply(rho0) @ phi).real
+    assert abs(overlap_rate(g, phi, psi) - expected_rate) <= 1e-12
+    times = (0.0, 1e-3, 0.1, 1.0)
+    scan = negativity_scan(g, psi, phi, t_grid=times)
+    for idx, t in enumerate(times):
+        rho_t = Superoperator(dim=d * d, matrix=matrix_exp(t * ext.matrix)).apply(rho0)
+        herm = (rho_t + rho_t.conj().T) / 2.0
+        assert abs(scan.min_eigenvalues[idx] - np.linalg.eigvalsh(herm)[0]) <= 1e-12
+        assert abs(scan.overlap_values[idx] - np.vdot(phi, herm @ phi).real) <= 1e-12
