@@ -4,14 +4,10 @@ entangled witness construction for the doubled dynamics."""
 from .basis import BasisReport, OperatorBasis, standard_basis, validate_basis
 from .dynamics import (
     CPVerdict,
-    ChoiMatrix,
     DensityMatrix,
-    PositivitySampleReport,
     choi_matrix,
     evolution_map,
-    haar_state_vector,
     is_completely_positive,
-    positivity_preserving_sampled,
     tensor_extension,
 )
 from .generator import (
@@ -49,7 +45,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BasisReport",
     "CPVerdict",
-    "ChoiMatrix",
     "DensityMatrix",
     "EigenDecomposition",
     "GKSGenerator",
@@ -58,7 +53,6 @@ __all__ = [
     "NoNegativeDirection",
     "NotApplicable",
     "OperatorBasis",
-    "PositivitySampleReport",
     "Superoperator",
     "WitnessCandidate",
     "apply_generator",
@@ -68,7 +62,6 @@ __all__ = [
     "direction_operator",
     "evolution_map",
     "gks_to_lindblad",
-    "haar_state_vector",
     "hermitian_eig",
     "is_completely_positive",
     "lindblad_to_gks",
@@ -77,7 +70,6 @@ __all__ = [
     "negativity_scan",
     "overlap_rate",
     "overlap_rate_trace_form",
-    "positivity_preserving_sampled",
     "similarity_to_transpose",
     "standard_basis",
     "superoperator_of",

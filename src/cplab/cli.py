@@ -44,7 +44,7 @@ from .generator import (
     gks_to_lindblad,
     lindblad_to_gks,
 )
-from .linalg import POSITIVITY_TOL, fro_norm, hermiticity_deviation
+from .linalg import POSITIVITY_TOL, eps_pos, hermiticity_deviation
 from .witness import (
     NegativityScan,
     NoNegativeDirection,
@@ -379,7 +379,8 @@ def _scan_dict(scan: NegativityScan) -> dict:
 # --------------------------------------------------------------------------
 
 
-def _witness_pieces(config: ProblemConfig, with_scan: bool, bell_fixture: bool):
+def _witness_pieces(config: ProblemConfig, bell_fixture: bool = False):
+    """Witness candidate, or the ``no_negative_direction`` entry of a PSD ``C``."""
     rng = np.random.default_rng(config.seed)
     phi_matrix = None
     if bell_fixture:
@@ -388,33 +389,24 @@ def _witness_pieces(config: ProblemConfig, with_scan: bool, bell_fixture: bool):
         phi_matrix = bell_phi_matrix()
     result = construct_witness(config.gks, rng=rng, tol=config.tolerance, phi_matrix=phi_matrix)
     if isinstance(result, NoNegativeDirection):
-        return None, {"min_coeff_eigenvalue": result.min_coeff_eigenvalue}, None
-    scan = None
-    if with_scan:
+        return None, {"min_coeff_eigenvalue": result.min_coeff_eigenvalue}
+    return result, None
+
+
+def _verdict_report(
+    config: ProblemConfig, command: str, with_scan: bool, bell_fixture: bool = False
+) -> tuple[AnalysisReport, int]:
+    """Report of ``check-cp`` and ``witness``; ``with_scan`` builds the witness even when CP."""
+    verdict = is_completely_positive(config.gks, tol=config.tolerance)
+    witness = no_dir = scan = None
+    if with_scan or not verdict.is_cp:
+        witness, no_dir = _witness_pieces(config, bell_fixture)
+    if with_scan and witness is not None:
         scan = negativity_scan(
-            config.gks, result.psi, result.phi, t_grid=config.grid, tol=config.tolerance
+            config.gks, witness.psi, witness.phi, t_grid=config.grid, tol=config.tolerance
         )
-    return result, None, scan
-
-
-def cmd_check_cp(config: ProblemConfig) -> tuple[AnalysisReport, int]:
-    verdict = is_completely_positive(config.gks, tol=config.tolerance)
-    witness, no_dir, _ = (None, None, None) if verdict.is_cp else _witness_pieces(config, False, False)
     report = AnalysisReport(
-        command="check-cp",
-        verdict=_verdict_dict(verdict),
-        witness=None if witness is None else _witness_dict(witness),
-        no_negative_direction=no_dir,
-        provenance=_provenance(config),
-    )
-    return report, EXIT_OK if verdict.is_cp else EXIT_NOT_CP
-
-
-def cmd_witness(config: ProblemConfig, bell_fixture: bool = False) -> tuple[AnalysisReport, int]:
-    verdict = is_completely_positive(config.gks, tol=config.tolerance)
-    witness, no_dir, scan = _witness_pieces(config, True, bell_fixture)
-    report = AnalysisReport(
-        command="witness",
+        command=command,
         verdict=_verdict_dict(verdict),
         witness=None if witness is None else _witness_dict(witness),
         no_negative_direction=no_dir,
@@ -424,10 +416,17 @@ def cmd_witness(config: ProblemConfig, bell_fixture: bool = False) -> tuple[Anal
     return report, EXIT_OK if verdict.is_cp else EXIT_NOT_CP
 
 
+def cmd_check_cp(config: ProblemConfig) -> tuple[AnalysisReport, int]:
+    return _verdict_report(config, "check-cp", with_scan=False)
+
+
+def cmd_witness(config: ProblemConfig, bell_fixture: bool = False) -> tuple[AnalysisReport, int]:
+    return _verdict_report(config, "witness", with_scan=True, bell_fixture=bell_fixture)
+
+
 def cmd_convert(config: ProblemConfig) -> tuple[AnalysisReport, int]:
     if config.form == "gks":
-        cutoff = config.tolerance * max(1.0, fro_norm(config.gks.coeff))
-        converted = gks_to_lindblad(config.gks, tol=cutoff)
+        converted = gks_to_lindblad(config.gks, tol=config.tolerance)
         payload = {
             "form": "lindblad",
             "dim": config.dim,
@@ -484,7 +483,7 @@ def cmd_evolve(config: ProblemConfig, state: DensityMatrix, t: float) -> tuple[A
         )
     herm = (evolved + evolved.conj().T) / 2.0
     low = float(np.linalg.eigvalsh(herm)[0])
-    violated = low < -config.tolerance * max(1.0, fro_norm(herm))
+    violated = low < -eps_pos(herm, config.tolerance)
     report = AnalysisReport(
         command="evolve",
         extra={
@@ -516,7 +515,7 @@ def cmd_scan(config: ProblemConfig, state_path: str | None) -> tuple[AnalysisRep
     if state_path is not None:
         psi, phi = _load_pair(state_path, config.dim * config.dim)
     else:
-        witness, no_dir, _ = _witness_pieces(config, False, False)
+        witness, no_dir = _witness_pieces(config)
         if witness is None:
             report = AnalysisReport(
                 command="scan",

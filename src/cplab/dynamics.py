@@ -9,13 +9,15 @@ exponentiated; :func:`tensor_extension` builds the ``d^4 x d^4`` generator
 itself as a reference.
 
 Complete positivity is decided by the exact coefficient-matrix criterion
-(smallest eigenvalue of ``C``), cross-checked by conditional complete
-positivity: the Choi matrix of ``L`` compressed onto the orthogonal
-complement of the maximally entangled vector has spectrum ``spec(C)``.  The
-two criteria must agree or :class:`InconsistentVerdict` is raised.
+(smallest eigenvalue of ``C`` against the cutoff ``eps_pos(C, tol)``),
+cross-checked by conditional complete positivity: the Choi matrix of ``L``
+compressed onto the orthogonal complement of the maximally entangled vector
+has spectrum ``spec(C)``.  The two criteria must agree or
+:class:`InconsistentVerdict` is raised.
 
-The Choi matrix convention is unnormalized, ``sum_ij E_ij kron m[E_ij]``
-over matrix units, so integer fixtures stay exact.
+:func:`choi_matrix` returns the unnormalized Choi matrix
+``sum_ij E_ij kron m[E_ij]`` over matrix units as a plain array, obtained
+by reshuffling the superoperator's entries, so integer fixtures stay exact.
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ from .generator import (
 from .linalg import (
     POSITIVITY_TOL,
     eps_pos,
-    fro_norm,
-    hermiticity_deviation,
     matrix_exp,
     min_eigenvalue,
     require_hermitian,
@@ -72,26 +72,12 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True)
-class ChoiMatrix:
-    """Unnormalized Choi matrix of a map on ``dim x dim`` matrices."""
-
-    dim: int
-    matrix: np.ndarray
-
-    def hermiticity_deviation(self) -> float:
-        return hermiticity_deviation(self.matrix)
-
-    def min_eigenvalue(self) -> float:
-        return min_eigenvalue(self.matrix)
-
-
-@dataclass(frozen=True)
 class CPVerdict:
     """Outcome of the complete-positivity test.
 
     ``min_choi_eigenvalue`` is the smallest eigenvalue of the Choi matrix of
     ``L`` compressed onto the orthogonal complement of the maximally
-    entangled vector; ``tolerance`` is the cutoff ``tol * max(1, ||C||_F)``
+    entangled vector; ``tolerance`` is the cutoff ``eps_pos(C, tol)``
     that both it and ``min_coeff_eigenvalue`` are held to.
     """
 
@@ -107,16 +93,6 @@ class CPVerdict:
                 f"compressed Choi matrix (min eig {self.min_choi_eigenvalue:.6e}) "
                 f"disagree at tol {self.tolerance:.1e}"
             )
-
-
-@dataclass(frozen=True)
-class PositivitySampleReport:
-    """Worst case found while sampling a map on random pure states."""
-
-    min_eigenvalue: float
-    worst_input: np.ndarray
-    num_samples: int
-    seed: int
 
 
 def evolution_map(g: GKSGenerator, t: float) -> Superoperator:
@@ -181,22 +157,20 @@ def tensor_extension(g: GKSGenerator) -> Superoperator:
     return Superoperator(dim=d * d, matrix=mat)
 
 
-def choi_matrix(m: Superoperator) -> ChoiMatrix:
-    """``sum_ij E_ij kron m[E_ij]`` over the matrix units ``E_ij``."""
+def choi_matrix(m: Superoperator) -> np.ndarray:
+    """``sum_ij E_ij kron m[E_ij]`` over the matrix units ``E_ij``.
+
+    Under column stacking this is a fixed reshuffle of the entries of
+    ``m.matrix``, so no map is applied.
+    """
     d = m.dim
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[i, j] = 1.0
-            out += np.kron(unit, m.apply(unit))
-    return ChoiMatrix(dim=d, matrix=out)
+    return m.matrix.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
 
 def is_completely_positive(g: GKSGenerator, tol: float = POSITIVITY_TOL) -> CPVerdict:
     """Decide complete positivity of the semigroup generated by ``g``.
 
-    The verdict is ``lambda_min(C) >= -tol * max(1, ||C||_F)``.  The Choi
+    The verdict is ``lambda_min(C) >= -eps_pos(C, tol)``.  The Choi
     matrix of ``L``, compressed onto the orthogonal complement of the
     maximally entangled vector, has the same spectrum as ``C`` (conditional
     complete positivity); its smallest eigenvalue is reported as
@@ -204,9 +178,9 @@ def is_completely_positive(g: GKSGenerator, tol: float = POSITIVITY_TOL) -> CPVe
     raises :class:`InconsistentVerdict`.
     """
     d = g.dim
-    cutoff = tol * max(1.0, fro_norm(g.coeff))
+    cutoff = eps_pos(g.coeff, tol)
     min_coeff = min_eigenvalue(g.coeff)
-    choi = choi_matrix(superoperator_of(g)).matrix
+    choi = choi_matrix(superoperator_of(g))
     entangled = np.eye(d).reshape(1, d * d) / np.sqrt(d)
     # The rows of V^H after the first span the complement of ``entangled``.
     complement = np.linalg.svd(entangled)[2][1:].T
@@ -216,49 +190,4 @@ def is_completely_positive(g: GKSGenerator, tol: float = POSITIVITY_TOL) -> CPVe
         min_choi_eigenvalue=min_choi,
         min_coeff_eigenvalue=min_coeff,
         tolerance=cutoff,
-    )
-
-
-def haar_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unit vector (normalized complex normal)."""
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
-def positivity_preserving_sampled(
-    m: Superoperator,
-    n: int,
-    seed: int = 0,
-    include=(),
-) -> PositivitySampleReport:
-    """Probe a map with random pure states and report the worst eigenvalue.
-
-    ``include`` may carry extra state vectors (e.g. a constructed witness)
-    that are checked before the ``n`` Haar samples.  Sampling can certify a
-    negative but never prove positivity.
-    """
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    worst_value = np.inf
-    worst_input = None
-    vectors = [np.asarray(v, dtype=complex).reshape(-1) for v in include]
-    vectors += [haar_state_vector(m.dim, rng) for _ in range(n)]
-    for v in vectors:
-        if v.size != m.dim:
-            raise ShapeMismatch(f"sample vector has length {v.size}, expected {m.dim}")
-        norm = np.linalg.norm(v)
-        if norm <= 0.0:
-            raise ZeroVector("cannot sample the zero vector")
-        v = v / norm
-        out = m.apply(np.outer(v, v.conj()))
-        low = float(np.linalg.eigvalsh((out + out.conj().T) / 2.0)[0])
-        if low < worst_value:
-            worst_value = low
-            worst_input = v
-    return PositivitySampleReport(
-        min_eigenvalue=worst_value,
-        worst_input=worst_input,
-        num_samples=n,
-        seed=seed,
     )

@@ -23,6 +23,7 @@ from .basis import OperatorBasis
 from .errors import NonTraceless, NonTracelessJump, NotCompletelyPositive, ShapeMismatch
 from .linalg import (
     HERMITICITY_TOL,
+    POSITIVITY_TOL,
     as_complex_matrix,
     eps_pos,
     fro_norm,
@@ -147,15 +148,15 @@ def lindblad_to_gks(l: LindbladGenerator, basis: OperatorBasis) -> GKSGenerator:
     return GKSGenerator(dim=l.dim, hamiltonian=l.hamiltonian, coeff=coeff, basis=basis)
 
 
-def gks_to_lindblad(g: GKSGenerator, tol: float | None = None) -> LindbladGenerator:
+def gks_to_lindblad(g: GKSGenerator, tol: float = POSITIVITY_TOL) -> LindbladGenerator:
     """Factor ``C`` and return the jump-operator form.
 
     The factorization goes through the Hermitian eigendecomposition rather
     than Cholesky, which fails on the semidefinite boundary.  Eigenvalues in
-    ``[-eps_pos, 0]`` are clamped to zero; anything lower raises
+    ``[-eps_pos(C, tol), 0]`` are clamped to zero; anything lower raises
     :class:`NotCompletelyPositive` (the conversion is undefined there).
     """
-    cutoff = eps_pos(g.coeff) if tol is None else tol
+    cutoff = eps_pos(g.coeff, tol)
     decomp = hermitian_eig(g.coeff)
     if decomp.eigenvalues[0] < -cutoff:
         raise NotCompletelyPositive(

@@ -6,7 +6,7 @@ Conventions used throughout the package:
 * Vectorization is column-stacking, ``vec(M)[i + d*j] = M[i, j]``, so that
   ``vec(A X B) = (B^T kron A) vec(X)``.
 * Hermiticity is checked relative to ``max(1, ||M||_F)`` with tolerance
-  ``HERMITICITY_TOL``; positivity verdicts use ``eps_pos(M)`` uniformly.
+  ``HERMITICITY_TOL``; every positivity cutoff is ``eps_pos(M, tol)``.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ POSITIVITY_TOL = 1e-9
 #: Residual tolerance of the similarity-to-transpose solver.
 SIMILARITY_TOL = 1e-8
 
-#: Determinant floor for accepting a similarity candidate (spectral norm 1).
-_DET_FLOOR = 1e-10
+#: Floor on ``sigma_min / sigma_max`` for accepting a similarity candidate.
+_CONDITION_FLOOR = 1e-10
 
 #: Seed used when no RNG is supplied, keeping library calls deterministic.
 DEFAULT_SEED = 0x5EED
@@ -39,9 +39,9 @@ def fro_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
-def eps_pos(m: np.ndarray) -> float:
-    """Absolute positivity tolerance for verdicts about ``m``."""
-    return POSITIVITY_TOL * max(1.0, fro_norm(m))
+def eps_pos(m: np.ndarray, tol: float = POSITIVITY_TOL) -> float:
+    """Absolute positivity cutoff ``tol * max(1, ||m||_F)`` for verdicts about ``m``."""
+    return tol * max(1.0, fro_norm(m))
 
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -84,10 +84,6 @@ class EigenDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
 
 
 def hermitian_eig(m, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
@@ -147,10 +143,10 @@ def similarity_to_transpose(
 
     Numerical Jordan forms are avoided: random complex combinations of the
     nullspace basis of ``W X = X W^T`` are generically invertible, so the
-    solver samples combinations (budget 64, then a denser 256-draw phase)
-    and keeps the best-conditioned candidate that passes the determinant
-    floor and the residual bound ``||P^{-1} W P - W^T||_F <= tol * max(1,
-    ||W||_F)``.
+    solver samples up to 64 combinations and keeps the best-conditioned
+    candidate whose ``sigma_min / sigma_max`` exceeds 1e-10 and whose
+    residual satisfies ``||P^{-1} W P - W^T||_F <= tol * max(1, ||W||_F)``.
+    The candidate is returned scaled to spectral norm 1.
     """
     w_arr = require_square(w, "W")
     d = w_arr.shape[0]
@@ -167,22 +163,21 @@ def similarity_to_transpose(
     best: np.ndarray | None = None
     best_sigma_min = 0.0
     valid_found = 0
-    for draw in range(64 + 256):
+    for draw in range(64):
         coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        if draw >= 64:
-            # Densify: widen the sampling spread to escape unlucky regions.
-            coeff *= np.exp(rng.uniform(-2.0, 2.0, size=k))
         cand = np.tensordot(coeff, basis, axes=1)
         sigma = np.linalg.svd(cand, compute_uv=False)
         if sigma[0] <= 0.0:
             continue
-        cand = cand / sigma[0]
-        if abs(np.linalg.det(cand)) <= _DET_FLOOR:
+        # |det| is a product of d singular values and shrinks geometrically
+        # with d even for well-conditioned candidates; the ratio does not.
+        sigma_min = sigma[-1] / sigma[0]
+        if sigma_min <= _CONDITION_FLOOR:
             continue
+        cand = cand / sigma[0]
         residual = fro_norm(np.linalg.solve(cand, w_arr @ cand) - target)
         if residual > tol * scale:
             continue
-        sigma_min = sigma[-1] / sigma[0]
         if sigma_min > best_sigma_min:
             best_sigma_min = sigma_min
             best = cand

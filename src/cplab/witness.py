@@ -239,14 +239,13 @@ def construct_witness(
     """Build a witness for the most negative direction of the coefficient matrix.
 
     Returns :class:`NoNegativeDirection` when the coefficient matrix is PSD
-    within ``tol * max(1, ||C||_F)``.  ``phi_matrix`` overrides the
+    within ``eps_pos(C, tol)``.  ``phi_matrix`` overrides the
     similarity solver with a fixed coefficient matrix (it must conjugate
     ``W`` into ``+-W^T``); ties between degenerate eigenvalues resolve to
     the first column of the ascending eigendecomposition.
     """
     decomp = hermitian_eig(g.coeff)
-    cutoff = tol * max(1.0, fro_norm(g.coeff))
-    if decomp.eigenvalues[0] >= -cutoff:
+    if decomp.eigenvalues[0] >= -eps_pos(g.coeff, tol):
         return NoNegativeDirection(min_coeff_eigenvalue=float(decomp.eigenvalues[0]))
     w = decomp.eigenvectors[:, 0]
     return _candidate_from_direction(g, w, rng, phi_matrix)
@@ -271,8 +270,7 @@ def symmetric_case_witness(g: GKSGenerator, tol: float = POSITIVITY_TOL):
 
     c_real = g.coeff.real
     vals, vecs = np.linalg.eigh(c_real)
-    cutoff = tol * max(1.0, fro_norm(g.coeff))
-    if vals[0] >= -cutoff:
+    if vals[0] >= -eps_pos(g.coeff, tol):
         return NoNegativeDirection(min_coeff_eigenvalue=float(vals[0]))
     w = vecs[:, 0].astype(complex)
     _, u = np.linalg.eigh(direction_operator(w, g.basis))
@@ -318,7 +316,7 @@ def negativity_scan(
         low = float(np.linalg.eigvalsh(herm)[0])
         min_eigs[idx] = low
         overlaps[idx] = float(np.vdot(phi_v, herm @ phi_v).real)
-        if first_negative is None and low < -tol * max(1.0, fro_norm(herm)):
+        if first_negative is None and low < -eps_pos(herm, tol):
             first_negative = float(t)
     return NegativityScan(
         times=times,

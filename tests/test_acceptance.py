@@ -20,6 +20,7 @@ from cplab import (
     gks_to_lindblad,
     is_completely_positive,
     lindblad_to_gks,
+    min_eigenvalue,
     negativity_scan,
     overlap_rate,
     overlap_rate_trace_form,
@@ -77,7 +78,7 @@ def test_criterion_01_coeff_vs_choi_equivalence():
             choi_ok = True
             for t in times:
                 choi = choi_matrix(evolution_map(g, t))
-                if choi.min_eigenvalue() < -1e-9 * max(1.0, fro_norm(choi.matrix)):
+                if min_eigenvalue(choi) < -1e-9 * max(1.0, fro_norm(choi)):
                     choi_ok = False
             if coeff_ok != choi_ok:
                 failures.append(f"d={d} trial={trial}: coeff {coeff_ok} vs choi {choi_ok}")
@@ -204,7 +205,7 @@ def test_criterion_06_derivative_check(witness_batch):
 def test_criterion_07_transposition_counterexample():
     failures = []
     tau = Superoperator(dim=2, matrix=transpose_superop(2))
-    spectrum = np.linalg.eigvalsh(choi_matrix(tau).matrix)
+    spectrum = np.linalg.eigvalsh(choi_matrix(tau))
     if np.max(np.abs(spectrum - np.array([-1.0, 1.0, 1.0, 1.0]))) > 1e-12:
         failures.append(f"tau Choi spectrum {spectrum}")
     pair = Superoperator(dim=4, matrix=tensor_square_superop(transpose_superop(2), 2))

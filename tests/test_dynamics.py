@@ -9,13 +9,12 @@ from cplab import (
     choi_matrix,
     evolution_map,
     is_completely_positive,
-    positivity_preserving_sampled,
     standard_basis,
     superoperator_of,
     tensor_extension,
 )
 from cplab.errors import InvalidState, NegativeTime, ShapeMismatch, ZeroVector
-from cplab.linalg import fro_norm, matrix_exp, unvec, vec
+from cplab.linalg import fro_norm, matrix_exp, min_eigenvalue, unvec, vec
 
 from helpers import (
     random_density,
@@ -140,7 +139,7 @@ class TestTensorExtension:
 class TestChoiMatrix:
     def test_identity_map(self):
         ident = Superoperator(dim=2, matrix=np.eye(4, dtype=complex))
-        eigs = np.linalg.eigvalsh(choi_matrix(ident).matrix)
+        eigs = np.linalg.eigvalsh(choi_matrix(ident))
         np.testing.assert_allclose(eigs, [0.0, 0.0, 0.0, 2.0], atol=1e-14)
 
     def test_transpose_map(self):
@@ -153,28 +152,30 @@ class TestChoiMatrix:
                 unit = np.zeros((2, 2), dtype=complex)
                 unit[i, j] = 1.0
                 oracle += np.kron(unit, unit.T)
-        np.testing.assert_allclose(choi.matrix, oracle, atol=1e-15)
-        np.testing.assert_allclose(
-            np.linalg.eigvalsh(choi.matrix), [-1.0, 1.0, 1.0, 1.0], atol=1e-14
-        )
+        np.testing.assert_allclose(choi, oracle, atol=1e-15)
+        np.testing.assert_allclose(np.linalg.eigvalsh(choi), [-1.0, 1.0, 1.0, 1.0], atol=1e-14)
 
     def test_reshuffle_identity(self):
-        # Independent oracle: the Choi matrix is a fixed reshuffle of the
-        # superoperator matrix.
+        # choi_matrix reshuffles the superoperator's entries; the oracle is
+        # the definition, the images of the matrix units under the map.
         rng = np.random.default_rng(20)
         d = 3
         s = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-        choi = choi_matrix(Superoperator(dim=d, matrix=s)).matrix
-        s4 = s.reshape(d, d, d, d)
-        oracle = s4.transpose(3, 1, 2, 0).reshape(d * d, d * d)
-        np.testing.assert_allclose(choi, oracle, atol=1e-14)
+        m = Superoperator(dim=d, matrix=s)
+        oracle = np.zeros((d * d, d * d), dtype=complex)
+        for i in range(d):
+            for j in range(d):
+                unit = np.zeros((d, d), dtype=complex)
+                unit[i, j] = 1.0
+                oracle += np.kron(unit, m.apply(unit))
+        np.testing.assert_array_equal(choi_matrix(m), oracle)
 
     def test_cp_generator_has_psd_choi(self):
         rng = np.random.default_rng(21)
         g = random_generator(2, rng, coeff=random_psd(3, rng))
         propagator = evolution_map(g, 0.3)
         choi = choi_matrix(propagator)
-        assert choi.min_eigenvalue() >= -1e-9 * max(1.0, fro_norm(choi.matrix))
+        assert min_eigenvalue(choi) >= -1e-9 * max(1.0, fro_norm(choi))
 
 
 class TestIsCompletelyPositive:
@@ -236,43 +237,6 @@ class TestIsCompletelyPositive:
                 assert not verdict.is_cp
                 assert verdict.min_coeff_eigenvalue == pytest.approx(-0.5, abs=1e-12)
                 assert verdict.min_choi_eigenvalue == pytest.approx(-0.5, abs=1e-12)
-
-
-class TestPositivitySampling:
-    def test_identity_map(self):
-        ident = Superoperator(dim=3, matrix=np.eye(9, dtype=complex))
-        report = positivity_preserving_sampled(ident, n=50, seed=5)
-        assert report.min_eigenvalue >= -1e-14
-        assert report.num_samples == 50
-
-    def test_double_transpose_preserves_positivity(self):
-        tau_pair = Superoperator(dim=4, matrix=tensor_square_superop(transpose_superop(2), 2))
-        report = positivity_preserving_sampled(tau_pair, n=200, seed=6)
-        assert report.min_eigenvalue >= -1e-12
-
-    def test_include_witness_state_finds_negativity(self):
-        from cplab import construct_witness
-
-        rng = np.random.default_rng(7)
-        g = GKSGenerator(
-            dim=2,
-            hamiltonian=np.zeros((2, 2)),
-            coeff=np.diag([1.0, 1.0, -1.0]),
-            basis=standard_basis(2),
-        )
-        candidate = construct_witness(g, rng=rng)
-        t = 1e-3
-        propagator = Superoperator(dim=4, matrix=matrix_exp(t * tensor_extension(g).matrix))
-        report = positivity_preserving_sampled(propagator, n=10, seed=8, include=[candidate.psi])
-        assert report.min_eigenvalue < -1e-9
-        np.testing.assert_allclose(
-            report.worst_input, candidate.psi / np.linalg.norm(candidate.psi), atol=1e-12
-        )
-
-    def test_rejects_bad_sample_count(self):
-        ident = Superoperator(dim=2, matrix=np.eye(4, dtype=complex))
-        with pytest.raises(ValueError):
-            positivity_preserving_sampled(ident, n=0)
 
 
 class TestDensityMatrix:

@@ -189,6 +189,21 @@ class TestConstructWitness:
                     0.5 * candidate.quadratic_form, rel=1e-8
                 )
 
+    @pytest.mark.parametrize("d", [16, 20])
+    def test_similarity_solver_at_large_d(self, d):
+        # |det| of a well-conditioned candidate of spectral norm 1 falls
+        # below 1e-10 around d = 16; the solver's floor is on
+        # sigma_min / sigma_max instead, so these witnesses are found.
+        rng = np.random.default_rng(d)
+        n = d * d - 1
+        for _ in range(2):
+            coeff = random_hermitian(n, rng)
+            coeff -= (np.linalg.eigvalsh(coeff)[0] + 0.5) * np.eye(n)
+            g = random_generator(d, rng, coeff=coeff, hamiltonian=np.zeros((d, d)))
+            candidate = construct_witness(g, rng=rng)
+            assert isinstance(candidate, WitnessCandidate)
+            assert candidate.value == pytest.approx(-0.25, rel=1e-8)
+
 
 class TestNegativityScan:
     def test_cp_generator_stays_positive(self):
