@@ -78,14 +78,20 @@ def _matrix_to_json(m) -> list:
     return [[_complex_to_json(z) for z in row] for row in np.asarray(m)]
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _real_from_json(value, field: str) -> float:
+    if not _is_real(value):
+        raise ConfigError(f"{field}: entry {value!r} is not a number")
+    return float(value)
+
+
 def _entry_from_json(value, field: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if _is_real(value):
         return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
-    ):
+    if isinstance(value, list) and len(value) == 2 and all(_is_real(x) for x in value):
         return complex(value[0], value[1])
     raise ConfigError(f"{field}: entry {value!r} is not a number or [re, im] pair")
 
@@ -142,8 +148,8 @@ def _parse_grid_spec(spec: str) -> tuple:
         start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"--grid: {exc}") from None
-    if points < 1 or start < 0 or stop <= start:
-        raise ConfigError(f"--grid: need 0 <= start < stop and points >= 1, got {spec!r}")
+    if points < 1 or not 0 <= start < stop < np.inf:
+        raise ConfigError(f"--grid: need 0 <= start < stop < inf and points >= 1, got {spec!r}")
     if parts[3] == "log":
         if start <= 0:
             raise ConfigError("--grid: log spacing needs start > 0")
@@ -278,7 +284,7 @@ def load_config(args) -> ProblemConfig:
     elif raw.get("grid") is not None:
         if not isinstance(raw["grid"], list):
             raise ConfigError("grid: expected a list of times")
-        grid = tuple(float(t) for t in raw["grid"])
+        grid = tuple(_real_from_json(t, f"grid[{i}]") for i, t in enumerate(raw["grid"]))
 
     return ProblemConfig(
         dim=dim,
@@ -475,7 +481,7 @@ def cmd_evolve(config: ProblemConfig, state: DensityMatrix, t: float) -> tuple[A
         evolved = evolution_map(config.gks, t).apply(state.matrix)
         mode = "single"
     elif state.dim == d * d:
-        (evolved,) = doubled_evolution(config.gks, state.matrix, (t,))
+        evolved = doubled_evolution(config.gks, state.matrix, (t,))[0]
         mode = "extended"
     else:
         raise DimensionMismatch(

@@ -50,7 +50,7 @@ class InconsistentVerdict(CplabError):
 
 
 class NegativeTime(CplabError):
-    """Evolution times must be nonnegative."""
+    """Evolution times must be finite and nonnegative."""
 
 
 class NotOrthogonal(CplabError):
@@ -70,7 +70,7 @@ class DegenerateW(CplabError):
 
 
 class InvalidGrid(CplabError):
-    """Time grid must be nonempty, nonnegative and strictly increasing."""
+    """Time grid must be nonempty, finite, nonnegative and strictly increasing."""
 
 
 class DimensionMismatch(CplabError):

@@ -117,14 +117,19 @@ class NegativityScan:
     first_negative_time: float | None
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.size == 0 or np.any(t < 0) or np.any(np.diff(t) <= 0):
-            raise InvalidGrid("times must be nonnegative and strictly increasing")
+        t = _require_grid(self.times)
         if not (t.size == len(self.min_eigenvalues) == len(self.overlap_values)):
             raise InvalidGrid("scan arrays must share a length")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "min_eigenvalues", np.asarray(self.min_eigenvalues, dtype=float))
         object.__setattr__(self, "overlap_values", np.asarray(self.overlap_values, dtype=float))
+
+
+def _require_grid(times) -> np.ndarray:
+    t = np.asarray(tuple(times), dtype=float)
+    if t.size == 0 or not np.all(np.isfinite(t) & (t >= 0)) or np.any(np.diff(t) <= 0):
+        raise InvalidGrid("time grid must be nonempty, finite, nonnegative and strictly increasing")
+    return t
 
 
 def _pair_vectors(phi, psi, dim_sq: int):
@@ -301,23 +306,16 @@ def negativity_scan(
     """
     if t_grid is None:
         t_grid = DEFAULT_SCAN_GRID
-    times = np.asarray(tuple(t_grid), dtype=float)
-    if times.size == 0 or np.any(times < 0) or np.any(np.diff(times) <= 0):
-        raise InvalidGrid("time grid must be nonempty, nonnegative and strictly increasing")
+    times = _require_grid(t_grid)
     phi_v, psi_v = _pair_vectors(phi, psi, g.dim * g.dim)
     psi_v = psi_v / np.linalg.norm(psi_v)
     states = doubled_evolution(g, np.outer(psi_v, psi_v.conj()), times)
-
-    min_eigs = np.empty(times.size)
-    overlaps = np.empty(times.size)
-    first_negative = None
-    for idx, (t, rho_t) in enumerate(zip(times, states)):
-        herm = (rho_t + rho_t.conj().T) / 2.0
-        low = float(np.linalg.eigvalsh(herm)[0])
-        min_eigs[idx] = low
-        overlaps[idx] = float(np.vdot(phi_v, herm @ phi_v).real)
-        if first_negative is None and low < -eps_pos(herm, tol):
-            first_negative = float(t)
+    herm = (states + states.conj().transpose(0, 2, 1)) / 2.0
+    min_eigs = np.linalg.eigvalsh(herm)[:, 0]
+    overlaps = ((herm @ phi_v) @ phi_v.conj()).real
+    first_negative = next(
+        (float(t) for t, low, h in zip(times, min_eigs, herm) if low < -eps_pos(h, tol)), None
+    )
     return NegativityScan(
         times=times,
         min_eigenvalues=min_eigs,

@@ -1,12 +1,17 @@
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import cplab
 from cplab import Superoperator, tensor_extension
 from cplab.cli import main
-from cplab.linalg import matrix_exp
 
 from helpers import (
     random_generator,
@@ -272,7 +277,7 @@ class TestEvolveCommand:
         report = json.loads(out)
         assert report["mode"] == "extended"
         evolved = np.array([[complex(re, im) for re, im in row] for row in report["state"]])
-        propagator = Superoperator(dim=d * d, matrix=matrix_exp(t * tensor_extension(g).matrix))
+        propagator = Superoperator(dim=d * d, matrix=scipy.linalg.expm(t * tensor_extension(g).matrix))
         np.testing.assert_allclose(evolved, propagator.apply(np.outer(v, v.conj())), atol=1e-12)
 
     def test_dimension_mismatch(self, tmp_path, capsys):
@@ -418,3 +423,42 @@ class TestConfigHandling:
         code, out, _ = _run(["check-cp", "--config", str(cfg)], capsys)
         assert code == 0
         assert json.loads(out)["verdict"]["is_cp"] is True
+
+
+class TestNonFiniteTimes:
+    """Non-finite or non-numeric times end in a typed error line, exit 1."""
+
+    @staticmethod
+    def _assert_typed_error(argv, capsys):
+        code, _, err = _run(argv, capsys)
+        assert code == 1
+        assert re.match(r"cplab: (config )?error: ", err)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("time", ["nan", "inf"])
+    def test_evolve_time(self, time, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"matrix": [[0.5, 0], [0, 0.5]]}))
+        argv = ["evolve", "--config", str(DATA / "config_negative.json"), "--state", str(state)]
+        self._assert_typed_error([*argv, "--time", time], capsys)
+
+    def test_scan_grid_spec_with_infinite_stop(self, capsys):
+        argv = ["scan", "--config", str(DATA / "config_negative.json"), "--grid", "0:inf:3:lin"]
+        self._assert_typed_error(argv, capsys)
+
+    @pytest.mark.parametrize("grid", [[float("nan")], ["x"], [[1]]])
+    def test_config_grid_entries(self, grid, tmp_path, capsys):
+        raw = json.loads((DATA / "config_negative.json").read_text())
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**raw, "grid": grid}))
+        self._assert_typed_error(["scan", "--config", str(cfg)], capsys)
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(cplab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import cplab.cli, sys; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

@@ -1,13 +1,37 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cplab import hermitian_eig, matrix_exp, min_eigenvalue, similarity_to_transpose
-from cplab.errors import NonHermitian, NonSquare
+from cplab import (
+    LindbladGenerator,
+    hermitian_eig,
+    lindblad_to_gks,
+    matrix_exp,
+    min_eigenvalue,
+    similarity_to_transpose,
+    standard_basis,
+    superoperator_of,
+)
+from cplab.errors import NegativeTime, NonHermitian, NonSquare
 from cplab.linalg import fro_norm, unvec, vec
+from cplab.witness import DEFAULT_SCAN_GRID
 
-from helpers import random_hermitian
+from helpers import random_generator, random_hermitian, random_psd
+
+#: Times at which the kernel is checked against scipy's expm.
+ORACLE_TIMES = tuple(sorted({0.0, 3.0, 10.0, *DEFAULT_SCAN_GRID}))
+
+
+def _assert_matches_expm(m, times, rtol=1e-10):
+    """``matrix_exp`` with and without ``times`` against scipy's expm."""
+    stack = matrix_exp(m, times)
+    assert stack.shape == (len(times), *m.shape)
+    for t, out in zip(times, stack):
+        ref = scipy.linalg.expm(t * m)
+        assert fro_norm(out - ref) <= rtol * fro_norm(ref)
+        assert fro_norm(matrix_exp(t * m) - ref) <= rtol * fro_norm(ref)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -77,6 +101,46 @@ class TestMatrixExp:
     def test_rejects_non_square(self):
         with pytest.raises(NonSquare):
             matrix_exp(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_generator_grid_matches_expm(self, d):
+        g = random_generator(d, np.random.default_rng(600 + d))
+        _assert_matches_expm(superoperator_of(g).matrix, ORACLE_TIMES)
+
+    def test_jordan_block_matches_expm(self):
+        jordan = np.eye(6, k=1) - 0.5 * np.eye(6)
+        _assert_matches_expm(jordan, ORACLE_TIMES)
+
+    def test_grid_with_different_squaring_counts(self):
+        rng = np.random.default_rng(61)
+        g = random_generator(3, rng, coeff=random_psd(8, rng))
+        base = superoperator_of(g).matrix
+        times = (0.0, 1e-3, 0.05, 0.5, 4.0, 60.0)
+        # theta_13 = 5.37: the first times need no squaring, the last one 10+.
+        scaled = np.array(times) * np.linalg.norm(base, 1)
+        assert scaled[1] < 5.37 and scaled[-1] > 2**10 * 5.37
+        _assert_matches_expm(base, times)
+
+    def test_huge_norm_stays_finite(self):
+        # Cascaded decay to the ground state; the powers of 1e30 * L would
+        # overflow without normalization.
+        low = np.eye(3, k=1)
+        lind = LindbladGenerator(dim=3, hamiltonian=np.zeros((3, 3)), jump_ops=(low,))
+        base = superoperator_of(lindblad_to_gks(lind, standard_basis(3))).matrix
+        ref = scipy.linalg.expm(1e30 * base)
+        for out in (matrix_exp(1e30 * base), matrix_exp(base, (1e30,))[0]):
+            assert np.all(np.isfinite(out))
+            assert fro_norm(out - ref) <= 1e-10 * fro_norm(ref)
+
+    def test_zero_matrix_gives_exact_identity_on_a_grid(self):
+        stack = matrix_exp(np.zeros((3, 3)), ORACLE_TIMES)
+        for out in stack:
+            assert np.array_equal(out, np.eye(3))
+
+    @pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf])
+    def test_rejects_bad_times(self, bad):
+        with pytest.raises(NegativeTime):
+            matrix_exp(np.eye(2), (0.0, bad))
 
 
 class TestMinEigenvalue:

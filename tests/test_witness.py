@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cplab import (
     GKSGenerator,
@@ -26,7 +27,6 @@ from cplab.errors import (
     ZeroVector,
 )
 from cplab.generator import _dissipator_superop, _hamiltonian_superop
-from cplab.linalg import matrix_exp
 
 from helpers import (
     random_generator,
@@ -250,6 +250,14 @@ class TestNegativityScan:
             with pytest.raises(InvalidGrid):
                 negativity_scan(g, psi, phi, t_grid=grid)
 
+    def test_non_finite_grids_rejected(self):
+        g = _neg_generator()
+        psi = np.arange(1, 5, dtype=complex)
+        phi = np.array([1.0, 0, 0, -1.0 / 4], dtype=complex)
+        for grid in ([np.nan], [0.0, np.nan, 1.0], [0.1, np.inf]):
+            with pytest.raises(InvalidGrid):
+                negativity_scan(g, psi, phi, t_grid=grid)
+
 
 class TestSymmetricCaseWitness:
     def test_agrees_in_sign_with_general_construction(self):
@@ -345,7 +353,7 @@ def test_doubled_dynamics_match_tensor_extension_reference(d):
     times = (0.0, 1e-3, 0.1, 1.0)
     scan = negativity_scan(g, psi, phi, t_grid=times)
     for idx, t in enumerate(times):
-        rho_t = Superoperator(dim=d * d, matrix=matrix_exp(t * ext.matrix)).apply(rho0)
+        rho_t = Superoperator(dim=d * d, matrix=scipy.linalg.expm(t * ext.matrix)).apply(rho0)
         herm = (rho_t + rho_t.conj().T) / 2.0
         assert abs(scan.min_eigenvalues[idx] - np.linalg.eigvalsh(herm)[0]) <= 1e-12
         assert abs(scan.overlap_values[idx] - np.vdot(phi, herm @ phi).real) <= 1e-12
