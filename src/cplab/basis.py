@@ -51,10 +51,6 @@ class OperatorBasis:
     def size(self) -> int:
         return self.elements.shape[0]
 
-    def completing_element(self) -> np.ndarray:
-        """The normalized identity that completes the orthonormal set."""
-        return np.eye(self.dim, dtype=complex) / np.sqrt(self.dim)
-
     def expansion_coefficients(self, k) -> np.ndarray:
         """Coefficients ``Tr(F_a^dagger K)`` of the traceless part of ``K``."""
         arr = as_complex_matrix(k, "K")

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +48,6 @@ from .generator import (
 )
 from .linalg import POSITIVITY_TOL, eps_pos, hermiticity_deviation
 from .witness import (
-    NegativityScan,
     NoNegativeDirection,
     WitnessCandidate,
     bell_phi_matrix,
@@ -83,17 +84,23 @@ def _is_real(value) -> bool:
 
 
 def _real_from_json(value, field: str) -> float:
+    """A finite float; JSON's ``NaN``, ``Infinity`` and out-of-range numbers are refused."""
     if not _is_real(value):
         raise ConfigError(f"{field}: entry {value!r} is not a number")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{field}: entry {value!r} is not a finite number")
+    return x
 
 
 def _entry_from_json(value, field: str) -> complex:
-    if _is_real(value):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(_is_real(x) for x in value):
-        return complex(value[0], value[1])
-    raise ConfigError(f"{field}: entry {value!r} is not a number or [re, im] pair")
+    parts = value if isinstance(value, list) and len(value) == 2 else [value, 0]
+    if not all(_is_real(x) for x in parts):
+        raise ConfigError(f"{field}: entry {value!r} is not a number or [re, im] pair")
+    return complex(*(_real_from_json(x, field) for x in parts))
 
 
 def _vector_from_json(obj, field: str, length: int | None = None) -> np.ndarray:
@@ -120,6 +127,39 @@ def _matrix_from_json(obj, field: str, rows: int | None = None, cols: int | None
     return mat
 
 
+def _matrices_from_json(obj, field: str, dim: int) -> np.ndarray:
+    """A ``(k, dim, dim)`` stack from a JSON list of ``k >= 0`` matrices."""
+    if not isinstance(obj, list):
+        raise ConfigError(f"{field}: expected a list of matrices")
+    mats = [_matrix_from_json(m, f"{field}[{i}]", dim, dim) for i, m in enumerate(obj)]
+    return np.array(mats, dtype=complex).reshape(len(mats), dim, dim)
+
+
+def _read_json(path: str, what: str) -> dict:
+    """Parse a JSON file holding one object; anything else raises :class:`ConfigError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what}: top level must be a JSON object")
+    return raw
+
+
+@contextmanager
+def _naming(field: str):
+    """Re-raise a library error from building ``field`` as a :class:`ConfigError` naming it."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except CplabError as exc:
+        raise ConfigError(f"{field}: {exc}") from None
+
+
 # --------------------------------------------------------------------------
 # Configuration
 # --------------------------------------------------------------------------
@@ -129,10 +169,8 @@ def _matrix_from_json(obj, field: str, rows: int | None = None, cols: int | None
 class ProblemConfig:
     """Parsed problem statement: generator, tolerances, seed, grid."""
 
-    dim: int
     form: str
     gks: GKSGenerator
-    lindblad: LindbladGenerator | None
     tolerance: float
     seed: int
     grid: tuple | None
@@ -159,41 +197,30 @@ def _parse_grid_spec(spec: str) -> tuple:
     raise ConfigError(f"--grid: spacing must be 'log' or 'lin', got {parts[3]!r}")
 
 
-def _bell_singlet_state() -> DensityMatrix:
-    v = bell_phi_matrix().reshape(-1)
-    return DensityMatrix.from_pure(v)
-
-
 def _resolve_tolerance(cli_tol, config_tol) -> float:
-    if cli_tol is not None:
-        return float(cli_tol)
-    if config_tol is not None:
-        return float(config_tol)
+    """The first of ``--tol``, config and ``CPLAB_TOL`` that is set; finite and >= 0."""
     env = os.environ.get(_ENV_TOL)
-    if env is not None:
+    if cli_tol is not None:
+        source, value = "--tol", cli_tol
+    elif config_tol is not None:
+        source, value = "tolerances.positivity", config_tol
+    elif env is not None:
+        source = _ENV_TOL
         try:
-            return float(env)
+            value = float(env)
         except ValueError:
             raise ConfigError(f"{_ENV_TOL}={env!r} is not a number") from None
-    return POSITIVITY_TOL
-
-
-def _read_json(path: str, what: str):
-    """Parse a JSON file; unreadable or malformed files raise :class:`ConfigError`."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
+    else:
+        return POSITIVITY_TOL
+    tol = _real_from_json(value, source)
+    if tol < 0:
+        raise ConfigError(f"{source}: tolerance must be >= 0, got {tol!r}")
+    return tol
 
 
 def load_config(args) -> ProblemConfig:
     """Read, validate and normalize the problem configuration."""
     raw = {} if args.config is None else _read_json(args.config, "config")
-    if not isinstance(raw, dict):
-        raise ConfigError("config: top level must be a JSON object")
 
     preset_state = None
     if args.preset is not None:
@@ -208,7 +235,7 @@ def load_config(args) -> ProblemConfig:
         gen.setdefault("hamiltonian", [[0.0, 0.0], [0.0, 0.0]])
         if "coeff" not in gen:
             raise ConfigError("preset meson-d2 needs the user-supplied generator.coeff matrix")
-        preset_state = _bell_singlet_state()
+        preset_state = DensityMatrix.from_pure(bell_phi_matrix().reshape(-1))
     elif args.config is None:
         raise ConfigError("--config is required (or use --preset)")
 
@@ -237,37 +264,19 @@ def load_config(args) -> ProblemConfig:
     if gen.get("basis") is None:
         basis = standard_basis(dim)
     else:
-        raw_basis = gen["basis"]
-        if not isinstance(raw_basis, list):
-            raise ConfigError("generator.basis: expected a list of matrices")
-        elems = [
-            _matrix_from_json(m, f"generator.basis[{i}]", dim, dim) for i, m in enumerate(raw_basis)
-        ]
-        try:
-            basis = OperatorBasis(dim=dim, elements=np.stack(elems))
-        except CplabError as exc:
-            raise ConfigError(f"generator.basis: {exc}") from None
+        elems = _matrices_from_json(gen["basis"], "generator.basis", dim)
+        with _naming("generator.basis"):
+            basis = OperatorBasis(dim=dim, elements=elems)
 
-    try:
+    with _naming("generator"):
         if form == "gks":
             n = dim * dim - 1
             coeff = _matrix_from_json(gen["coeff"], "generator.coeff", n, n)
             gks = GKSGenerator(dim=dim, hamiltonian=hamiltonian, coeff=coeff, basis=basis)
-            lindblad = None
         else:
-            raw_jumps = gen["jump_ops"]
-            if not isinstance(raw_jumps, list):
-                raise ConfigError("generator.jump_ops: expected a list of matrices")
-            jumps = tuple(
-                _matrix_from_json(m, f"generator.jump_ops[{i}]", dim, dim)
-                for i, m in enumerate(raw_jumps)
-            )
+            jumps = tuple(_matrices_from_json(gen["jump_ops"], "generator.jump_ops", dim))
             lindblad = LindbladGenerator(dim=dim, hamiltonian=hamiltonian, jump_ops=jumps)
             gks = lindblad_to_gks(lindblad, basis)
-    except ConfigError:
-        raise
-    except CplabError as exc:
-        raise ConfigError(f"generator: {exc}") from None
 
     tolerances = raw.get("tolerances", {})
     if not isinstance(tolerances, dict):
@@ -275,8 +284,8 @@ def load_config(args) -> ProblemConfig:
     tolerance = _resolve_tolerance(args.tol, tolerances.get("positivity"))
 
     seed = args.seed if args.seed is not None else raw.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError(f"seed: expected an integer, got {seed!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed: expected an integer >= 0, got {seed!r}")
 
     grid = None
     if getattr(args, "grid", None) is not None:
@@ -287,10 +296,8 @@ def load_config(args) -> ProblemConfig:
         grid = tuple(_real_from_json(t, f"grid[{i}]") for i, t in enumerate(raw["grid"]))
 
     return ProblemConfig(
-        dim=dim,
         form=form,
         gks=gks,
-        lindblad=lindblad,
         tolerance=tolerance,
         seed=seed,
         grid=grid,
@@ -304,57 +311,16 @@ def load_config(args) -> ProblemConfig:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    """Serializable outcome of a CLI command.
-
-    A witness entry is present exactly when the verdict is non-CP.
-    """
-
-    command: str
-    provenance: dict
-    verdict: dict | None = None
-    witness: dict | None = None
-    no_negative_direction: dict | None = None
-    scan: dict | None = None
-    extra: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.verdict is not None:
-            if self.verdict["is_cp"] == (self.witness is not None):
-                raise CplabError("report invariant violated: witness presence must match verdict")
-
-    def to_dict(self) -> dict:
-        out = {"command": self.command, "provenance": self.provenance}
-        if self.verdict is not None:
-            out["verdict"] = self.verdict
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.no_negative_direction is not None:
-            out["no_negative_direction"] = self.no_negative_direction
-        if self.scan is not None:
-            out["scan"] = self.scan
-        out.update(self.extra)
-        return out
-
-
-def _provenance(config: ProblemConfig) -> dict:
-    return {
+def _report(config: ProblemConfig, command: str, **sections) -> dict:
+    """The report of ``command``: its ``sections`` plus the run's provenance."""
+    provenance = {
         "tool": "cplab",
         "version": __version__,
         "seed": config.seed,
         "tolerance": config.tolerance,
         "config": config.echo,
     }
-
-
-def _verdict_dict(verdict) -> dict:
-    return {
-        "is_cp": verdict.is_cp,
-        "min_coeff_eigenvalue": verdict.min_coeff_eigenvalue,
-        "min_choi_eigenvalue": verdict.min_choi_eigenvalue,
-        "tolerance": verdict.tolerance,
-    }
+    return {"command": command, "provenance": provenance, **sections}
 
 
 def _witness_dict(candidate: WitnessCandidate) -> dict:
@@ -371,7 +337,8 @@ def _witness_dict(candidate: WitnessCandidate) -> dict:
     }
 
 
-def _scan_dict(scan: NegativityScan) -> dict:
+def _scan_section(config: ProblemConfig, psi, phi) -> dict:
+    scan = negativity_scan(config.gks, psi, phi, t_grid=config.grid, tol=config.tolerance)
     return {
         "times": [float(t) for t in scan.times],
         "min_eigenvalues": [float(x) for x in scan.min_eigenvalues],
@@ -380,103 +347,95 @@ def _scan_dict(scan: NegativityScan) -> dict:
     }
 
 
+def _witness_sections(
+    config: ProblemConfig, bell_fixture: bool = False, with_scan: bool = True
+) -> dict:
+    """``witness`` (and ``scan``) sections, or ``no_negative_direction`` for a PSD ``C``."""
+    rng = np.random.default_rng(config.seed)
+    phi_matrix = None
+    if bell_fixture:
+        if config.gks.dim != 2:
+            raise ConfigError("--bell-fixture is only defined for dim = 2")
+        phi_matrix = bell_phi_matrix()
+    result = construct_witness(config.gks, rng=rng, tol=config.tolerance, phi_matrix=phi_matrix)
+    if isinstance(result, NoNegativeDirection):
+        return {"no_negative_direction": {"min_coeff_eigenvalue": result.min_coeff_eigenvalue}}
+    sections = {"witness": _witness_dict(result)}
+    if with_scan:
+        sections["scan"] = _scan_section(config, result.psi, result.phi)
+    return sections
+
+
 # --------------------------------------------------------------------------
 # Commands
 # --------------------------------------------------------------------------
 
 
-def _witness_pieces(config: ProblemConfig, bell_fixture: bool = False):
-    """Witness candidate, or the ``no_negative_direction`` entry of a PSD ``C``."""
-    rng = np.random.default_rng(config.seed)
-    phi_matrix = None
-    if bell_fixture:
-        if config.dim != 2:
-            raise ConfigError("--bell-fixture is only defined for dim = 2")
-        phi_matrix = bell_phi_matrix()
-    result = construct_witness(config.gks, rng=rng, tol=config.tolerance, phi_matrix=phi_matrix)
-    if isinstance(result, NoNegativeDirection):
-        return None, {"min_coeff_eigenvalue": result.min_coeff_eigenvalue}
-    return result, None
-
-
 def _verdict_report(
     config: ProblemConfig, command: str, with_scan: bool, bell_fixture: bool = False
-) -> tuple[AnalysisReport, int]:
-    """Report of ``check-cp`` and ``witness``; ``with_scan`` builds the witness even when CP."""
+) -> tuple[dict, int]:
+    """Report of ``check-cp`` and ``witness``; ``with_scan`` builds the witness even when CP.
+
+    A witness entry is present exactly when the verdict is non-CP.
+    """
     verdict = is_completely_positive(config.gks, tol=config.tolerance)
-    witness = no_dir = scan = None
+    sections = {}
     if with_scan or not verdict.is_cp:
-        witness, no_dir = _witness_pieces(config, bell_fixture)
-    if with_scan and witness is not None:
-        scan = negativity_scan(
-            config.gks, witness.psi, witness.phi, t_grid=config.grid, tol=config.tolerance
-        )
-    report = AnalysisReport(
-        command=command,
-        verdict=_verdict_dict(verdict),
-        witness=None if witness is None else _witness_dict(witness),
-        no_negative_direction=no_dir,
-        scan=None if scan is None else _scan_dict(scan),
-        provenance=_provenance(config),
-    )
+        sections = _witness_sections(config, bell_fixture, with_scan)
+    if verdict.is_cp == ("witness" in sections):
+        raise CplabError("report invariant violated: witness presence must match verdict")
+    verdict_dict = {
+        "is_cp": verdict.is_cp,
+        "min_coeff_eigenvalue": verdict.min_coeff_eigenvalue,
+        "min_choi_eigenvalue": verdict.min_choi_eigenvalue,
+        "tolerance": verdict.tolerance,
+    }
+    report = _report(config, command, verdict=verdict_dict, **sections)
     return report, EXIT_OK if verdict.is_cp else EXIT_NOT_CP
 
 
-def cmd_check_cp(config: ProblemConfig) -> tuple[AnalysisReport, int]:
+def cmd_check_cp(config: ProblemConfig) -> tuple[dict, int]:
     return _verdict_report(config, "check-cp", with_scan=False)
 
 
-def cmd_witness(config: ProblemConfig, bell_fixture: bool = False) -> tuple[AnalysisReport, int]:
+def cmd_witness(config: ProblemConfig, bell_fixture: bool = False) -> tuple[dict, int]:
     return _verdict_report(config, "witness", with_scan=True, bell_fixture=bell_fixture)
 
 
-def cmd_convert(config: ProblemConfig) -> tuple[AnalysisReport, int]:
+def cmd_convert(config: ProblemConfig) -> tuple[dict, int]:
     if config.form == "gks":
         converted = gks_to_lindblad(config.gks, tol=config.tolerance)
         payload = {
             "form": "lindblad",
-            "dim": config.dim,
             "hamiltonian": _matrix_to_json(converted.hamiltonian),
             "jump_ops": [_matrix_to_json(v) for v in converted.jump_ops],
         }
     else:
         payload = {
             "form": "gks",
-            "dim": config.dim,
             "hamiltonian": _matrix_to_json(config.gks.hamiltonian),
             "coeff": _matrix_to_json(config.gks.coeff),
         }
-    report = AnalysisReport(
-        command="convert",
-        extra={"generator": payload},
-        provenance=_provenance(config),
-    )
-    return report, EXIT_OK
+    return _report(config, "convert", generator={"dim": config.gks.dim, **payload}), EXIT_OK
 
 
-def _load_state(path: str | None, config: ProblemConfig, field: str) -> DensityMatrix:
+def _load_state(path: str | None, config: ProblemConfig) -> DensityMatrix:
     if path is None:
         if config.initial_state is not None:
             return config.initial_state
-        raise ConfigError(f"{field}: no state supplied and the preset provides none")
+        raise ConfigError("state: no state supplied and the preset provides none")
     raw = _read_json(path, "state")
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{field}: expected a JSON object")
-    try:
+    with _naming("state"):
         if "matrix" in raw:
-            mat = _matrix_from_json(raw["matrix"], f"{field}.matrix")
+            mat = _matrix_from_json(raw["matrix"], "state.matrix")
             return DensityMatrix(dim=mat.shape[0], matrix=mat)
         if "vector" in raw:
-            return DensityMatrix.from_pure(_vector_from_json(raw["vector"], f"{field}.vector"))
-    except ConfigError:
-        raise
-    except CplabError as exc:
-        raise ConfigError(f"{field}: {exc}") from None
-    raise ConfigError(f"{field}: needs a 'matrix' or 'vector' field")
+            return DensityMatrix.from_pure(_vector_from_json(raw["vector"], "state.vector"))
+    raise ConfigError("state: needs a 'matrix' or 'vector' field")
 
 
-def cmd_evolve(config: ProblemConfig, state: DensityMatrix, t: float) -> tuple[AnalysisReport, int]:
-    d = config.dim
+def cmd_evolve(config: ProblemConfig, state: DensityMatrix, t: float) -> tuple[dict, int]:
+    d = config.gks.dim
     if state.dim == d:
         evolved = evolution_map(config.gks, t).apply(state.matrix)
         mode = "single"
@@ -490,54 +449,37 @@ def cmd_evolve(config: ProblemConfig, state: DensityMatrix, t: float) -> tuple[A
     herm = (evolved + evolved.conj().T) / 2.0
     low = float(np.linalg.eigvalsh(herm)[0])
     violated = low < -eps_pos(herm, config.tolerance)
-    report = AnalysisReport(
-        command="evolve",
-        extra={
-            "time": t,
-            "mode": mode,
-            "state": _matrix_to_json(evolved),
-            "trace": _complex_to_json(complex(np.trace(evolved))),
-            "hermiticity_deviation": hermiticity_deviation(evolved),
-            "min_eigenvalue": low,
-            "positivity_violated": bool(violated),
-        },
-        provenance=_provenance(config),
+    report = _report(
+        config,
+        "evolve",
+        time=t,
+        mode=mode,
+        state=_matrix_to_json(evolved),
+        trace=_complex_to_json(complex(np.trace(evolved))),
+        hermiticity_deviation=hermiticity_deviation(evolved),
+        min_eigenvalue=low,
+        positivity_violated=bool(violated),
     )
     return report, EXIT_NOT_CP if violated else EXIT_OK
 
 
 def _load_pair(path: str, dim_sq: int) -> tuple[np.ndarray, np.ndarray]:
     raw = _read_json(path, "state")
-    if not isinstance(raw, dict) or "psi" not in raw or "phi" not in raw:
+    if "psi" not in raw or "phi" not in raw:
         raise ConfigError("scan state: expected a JSON object with 'psi' and 'phi' vectors")
     psi = _vector_from_json(raw["psi"], "state.psi", dim_sq)
     phi = _vector_from_json(raw["phi"], "state.phi", dim_sq)
     return psi, phi
 
 
-def cmd_scan(config: ProblemConfig, state_path: str | None) -> tuple[AnalysisReport, int]:
-    witness = None
-    no_dir = None
-    if state_path is not None:
-        psi, phi = _load_pair(state_path, config.dim * config.dim)
+def cmd_scan(config: ProblemConfig, state_path: str | None) -> tuple[dict, int]:
+    if state_path is None:
+        sections = _witness_sections(config)
     else:
-        witness, no_dir = _witness_pieces(config)
-        if witness is None:
-            report = AnalysisReport(
-                command="scan",
-                no_negative_direction=no_dir,
-                provenance=_provenance(config),
-            )
-            return report, EXIT_OK
-        psi, phi = witness.psi, witness.phi
-    scan = negativity_scan(config.gks, psi, phi, t_grid=config.grid, tol=config.tolerance)
-    report = AnalysisReport(
-        command="scan",
-        witness=None if witness is None else _witness_dict(witness),
-        scan=_scan_dict(scan),
-        provenance=_provenance(config),
-    )
-    return report, EXIT_NOT_CP if scan.first_negative_time is not None else EXIT_OK
+        psi, phi = _load_pair(state_path, config.gks.dim**2)
+        sections = {"scan": _scan_section(config, psi, phi)}
+    negative = "scan" in sections and sections["scan"]["first_negative_time"] is not None
+    return _report(config, "scan", **sections), EXIT_NOT_CP if negative else EXIT_OK
 
 
 # --------------------------------------------------------------------------
@@ -587,8 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: AnalysisReport, output: str | None):
-    text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+def _emit(report: dict, output: str | None):
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if output is None:
         sys.stdout.write(text)
     else:
@@ -608,7 +550,7 @@ def main(argv=None) -> int:
         elif args.subcommand == "convert":
             report, code = cmd_convert(config)
         elif args.subcommand == "evolve":
-            state = _load_state(args.state, config, "state")
+            state = _load_state(args.state, config)
             report, code = cmd_evolve(config, state, args.time)
         else:
             report, code = cmd_scan(config, args.state)

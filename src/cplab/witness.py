@@ -77,9 +77,7 @@ class WitnessCandidate:
     def __post_init__(self):
         w_op = self.direction_operator
         scale = max(1.0, fro_norm(w_op))
-        overlap = abs(np.vdot(self.phi, self.psi))
-        if overlap > 1e-10 * max(1.0, np.linalg.norm(self.phi) * np.linalg.norm(self.psi)):
-            raise NotOrthogonal(f"stored pair has |<phi|psi>| = {overlap:.3e}")
+        _require_orthogonal(self.phi, self.psi)
         psi_dag = self.psi_matrix.conj().T
         if fro_norm(self.phi_matrix @ psi_dag - w_op) > _PAIR_TOL * scale:
             raise InconsistentVerdict("phi_matrix @ psi_matrix^dagger does not reproduce W")
@@ -132,6 +130,12 @@ def _require_grid(times) -> np.ndarray:
     return t
 
 
+def _require_orthogonal(phi, psi) -> None:
+    overlap = abs(np.vdot(phi, psi))
+    if overlap > 1e-10 * max(1.0, np.linalg.norm(phi) * np.linalg.norm(psi)):
+        raise NotOrthogonal(f"|<phi|psi>| = {overlap:.3e}, pair must be orthogonal")
+
+
 def _pair_vectors(phi, psi, dim_sq: int):
     phi_v = np.asarray(phi, dtype=complex).reshape(-1)
     psi_v = np.asarray(psi, dtype=complex).reshape(-1)
@@ -154,9 +158,7 @@ def overlap_rate(g: GKSGenerator, phi, psi) -> float:
     superoperator.
     """
     phi_v, psi_v = _pair_vectors(phi, psi, g.dim * g.dim)
-    overlap = abs(np.vdot(phi_v, psi_v))
-    if overlap > 1e-10 * max(1.0, np.linalg.norm(phi_v) * np.linalg.norm(psi_v)):
-        raise NotOrthogonal(f"|<phi|psi>| = {overlap:.3e}, pair must be orthogonal")
+    _require_orthogonal(phi_v, psi_v)
     d = g.dim
     base = superoperator_of(g).matrix
     split = _split_factors(np.outer(psi_v, psi_v.conj()), d)

@@ -50,6 +50,26 @@ def _canonical(node, digits=9):
     return node
 
 
+GOLDEN_CASES = [
+    ("check-cp", "config_depolarizing.json", "golden_checkcp_depolarizing.json", 0),
+    ("check-cp", "config_negative.json", "golden_checkcp_negative.json", 2),
+    ("witness", "config_negative.json", "golden_witness_negative.json", 2),
+    ("scan", "config_negative.json", "golden_scan_negative.json", 2),
+    ("convert", "config_lowering.json", "golden_convert_lowering.json", 0),
+]
+
+
+@pytest.mark.parametrize(
+    "command, config, golden, exit_code", GOLDEN_CASES, ids=[case[2] for case in GOLDEN_CASES]
+)
+def test_golden_report(command, config, golden, exit_code, capsys):
+    """Reports match their checked-in goldens up to last-ulp rounding."""
+    code, out, _ = _run([command, "--config", str(DATA / config)], capsys)
+    assert code == exit_code
+    expected = json.loads((DATA / golden).read_text())
+    assert _canonical(json.loads(out)) == _canonical(expected)
+
+
 class TestCheckCpExamples:
     def test_depolarizing_exit_zero_and_golden(self, capsys):
         code, out, _ = _run(["check-cp", "--config", str(DATA / "config_depolarizing.json")], capsys)
@@ -95,11 +115,21 @@ class TestCheckCpExamples:
         assert "expected 2" in err
 
     def test_byte_determinism(self, tmp_path, capsys):
-        for name in ("config_depolarizing.json", "config_negative.json"):
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"vector": [1, 0, 0, 1]}))
+        negative = ["--config", str(DATA / "config_negative.json")]
+        for argv in (
+            ["check-cp", "--config", str(DATA / "config_depolarizing.json")],
+            ["check-cp", *negative],
+            ["witness", *negative],
+            ["convert", "--config", str(DATA / "config_lowering.json")],
+            ["evolve", *negative, "--time", "0.3", "--state", str(state)],
+            ["scan", *negative],
+        ):
             out_a = tmp_path / "a.json"
             out_b = tmp_path / "b.json"
-            main(["check-cp", "--config", str(DATA / name), "--output", str(out_a)])
-            main(["check-cp", "--config", str(DATA / name), "--output", str(out_b)])
+            main([*argv, "--output", str(out_a)])
+            main([*argv, "--output", str(out_b)])
             assert out_a.read_bytes() == out_b.read_bytes()
             capsys.readouterr()
 
@@ -425,33 +455,136 @@ class TestConfigHandling:
         assert json.loads(out)["verdict"]["is_cp"] is True
 
 
+def _assert_typed_error(argv, capsys):
+    code, _, err = _run(argv, capsys)
+    assert code == 1
+    assert re.match(r"cplab: (config )?error: ", err)
+    assert "Traceback" not in err
+    return err
+
+
+def _config_with(tmp_path, name, **fields):
+    """Copy of ``tests/data/<name>`` with top-level ``fields`` replaced."""
+    raw = json.loads((DATA / name).read_text())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**raw, **fields}))
+    return cfg
+
+
 class TestNonFiniteTimes:
     """Non-finite or non-numeric times end in a typed error line, exit 1."""
-
-    @staticmethod
-    def _assert_typed_error(argv, capsys):
-        code, _, err = _run(argv, capsys)
-        assert code == 1
-        assert re.match(r"cplab: (config )?error: ", err)
-        assert "Traceback" not in err
 
     @pytest.mark.parametrize("time", ["nan", "inf"])
     def test_evolve_time(self, time, tmp_path, capsys):
         state = tmp_path / "state.json"
         state.write_text(json.dumps({"matrix": [[0.5, 0], [0, 0.5]]}))
         argv = ["evolve", "--config", str(DATA / "config_negative.json"), "--state", str(state)]
-        self._assert_typed_error([*argv, "--time", time], capsys)
+        _assert_typed_error([*argv, "--time", time], capsys)
 
     def test_scan_grid_spec_with_infinite_stop(self, capsys):
         argv = ["scan", "--config", str(DATA / "config_negative.json"), "--grid", "0:inf:3:lin"]
-        self._assert_typed_error(argv, capsys)
+        _assert_typed_error(argv, capsys)
 
     @pytest.mark.parametrize("grid", [[float("nan")], ["x"], [[1]]])
     def test_config_grid_entries(self, grid, tmp_path, capsys):
-        raw = json.loads((DATA / "config_negative.json").read_text())
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({**raw, "grid": grid}))
-        self._assert_typed_error(["scan", "--config", str(cfg)], capsys)
+        cfg = _config_with(tmp_path, "config_negative.json", grid=grid)
+        _assert_typed_error(["scan", "--config", str(cfg)], capsys)
+
+
+class TestNonFiniteNumbers:
+    """Non-finite, overflowing or empty JSON inputs end in a typed error naming the field."""
+
+    @staticmethod
+    def _coeff_config(tmp_path, entry):
+        # Written as text so that literals json.dumps cannot produce (1e400) survive.
+        cfg = tmp_path / "coeff.json"
+        cfg.write_text(
+            '{"dim": 2, "generator": {"coeff": [[%s, 0, 0], [0, 1, 0], [0, 0, 1]]}}' % entry
+        )
+        return cfg
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400, "[0, NaN]"],
+        ids=["nan", "inf", "-inf", "1e400", "int-1e400", "imag-nan"],
+    )
+    def test_coeff_entry(self, entry, tmp_path, capsys):
+        cfg = self._coeff_config(tmp_path, entry)
+        err = _assert_typed_error(["check-cp", "--config", str(cfg)], capsys)
+        assert "generator.coeff[0][0]" in err
+
+    def test_evolve_state_vector(self, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        state.write_text('{"vector": [1, NaN]}')
+        argv = ["evolve", "--config", str(DATA / "config_negative.json"), "--time", "0.1"]
+        assert "state.vector[1]" in _assert_typed_error([*argv, "--state", str(state)], capsys)
+
+    def test_scan_state_pair(self, tmp_path, capsys):
+        pair = tmp_path / "pair.json"
+        pair.write_text('{"psi": [0, 1, Infinity, 0], "phi": [1, 0, 0, 1]}')
+        argv = ["scan", "--config", str(DATA / "config_negative.json"), "--state", str(pair)]
+        assert "state.psi[2]" in _assert_typed_error(argv, capsys)
+
+    def test_empty_basis(self, tmp_path, capsys):
+        generator = json.loads((DATA / "config_negative.json").read_text())["generator"]
+        cfg = _config_with(tmp_path, "config_negative.json", generator={**generator, "basis": []})
+        assert "generator.basis" in _assert_typed_error(["check-cp", "--config", str(cfg)], capsys)
+
+
+class TestToleranceAndSeed:
+    """Tolerances must be finite and >= 0, seeds non-bool integers >= 0; otherwise exit 1."""
+
+    @pytest.mark.parametrize(
+        "config, flags, env, positivity",
+        [
+            ("config_depolarizing.json", ["--tol", "nan"], None, None),
+            ("config_depolarizing.json", ["--tol", "inf"], None, None),
+            ("config_depolarizing.json", [], "nan", None),
+            ("config_depolarizing.json", [], "-1e-9", None),
+            ("config_lowering.json", ["--tol", "-1"], None, None),
+            ("config_depolarizing.json", [], None, "abc"),
+            ("config_depolarizing.json", [], None, [1]),
+            ("config_depolarizing.json", [], None, True),
+            ("config_depolarizing.json", [], None, float("nan")),
+            ("config_depolarizing.json", [], None, -1.0),
+        ],
+        ids=[
+            "flag-nan",
+            "flag-inf",
+            "env-nan",
+            "env-negative",
+            "flag-negative",
+            "config-string",
+            "config-list",
+            "config-bool",
+            "config-nan",
+            "config-negative",
+        ],
+    )
+    def test_invalid_tolerance(self, config, flags, env, positivity, tmp_path, monkeypatch, capsys):
+        if env is not None:
+            monkeypatch.setenv("CPLAB_TOL", env)
+        cfg = DATA / config
+        if positivity is not None:
+            cfg = _config_with(tmp_path, config, tolerances={"positivity": positivity})
+        _assert_typed_error(["check-cp", "--config", str(cfg), *flags], capsys)
+
+    def test_zero_tolerance_accepted(self, capsys):
+        code, out, _ = _run(
+            ["check-cp", "--config", str(DATA / "config_depolarizing.json"), "--tol", "0"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["provenance"]["tolerance"] == 0.0
+
+    @pytest.mark.parametrize("command", ["check-cp", "witness"])
+    def test_negative_seed_flag(self, command, capsys):
+        argv = [command, "--config", str(DATA / "config_negative.json"), "--seed", "-1"]
+        _assert_typed_error(argv, capsys)
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.5, "7"])
+    def test_invalid_config_seed(self, seed, tmp_path, capsys):
+        cfg = _config_with(tmp_path, "config_negative.json", seed=seed)
+        _assert_typed_error(["check-cp", "--config", str(cfg)], capsys)
 
 
 def test_cli_import_loads_no_scipy():
