@@ -67,16 +67,9 @@ EXIT_NOT_CP = 2
 # --------------------------------------------------------------------------
 
 
-def _complex_to_json(z: complex) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _vector_to_json(v) -> list:
-    return [_complex_to_json(z) for z in np.asarray(v).reshape(-1)]
-
-
-def _matrix_to_json(m) -> list:
-    return [[_complex_to_json(z) for z in row] for row in np.asarray(m)]
+def _to_json(a) -> list:
+    """A complex scalar, vector or matrix with every entry as an ``[re, im]`` pair."""
+    return np.stack((np.real(a), np.imag(a)), axis=-1).tolist()
 
 
 def _is_real(value) -> bool:
@@ -198,7 +191,11 @@ def _parse_grid_spec(spec: str) -> tuple:
 
 
 def _resolve_tolerance(cli_tol, config_tol) -> float:
-    """The first of ``--tol``, config and ``CPLAB_TOL`` that is set; finite and >= 0."""
+    """The first of ``--tol``, config and ``CPLAB_TOL`` that is set; in ``[0, 1)``.
+
+    The cutoff is ``tol * max(1, ||C||_F)``, so a tolerance of 1 or more
+    would certify every generator as CP.
+    """
     env = os.environ.get(_ENV_TOL)
     if cli_tol is not None:
         source, value = "--tol", cli_tol
@@ -213,8 +210,8 @@ def _resolve_tolerance(cli_tol, config_tol) -> float:
     else:
         return POSITIVITY_TOL
     tol = _real_from_json(value, source)
-    if tol < 0:
-        raise ConfigError(f"{source}: tolerance must be >= 0, got {tol!r}")
+    if not 0 <= tol < 1:
+        raise ConfigError(f"{source}: tolerance must be in [0, 1), got {tol!r}")
     return tol
 
 
@@ -325,12 +322,12 @@ def _report(config: ProblemConfig, command: str, **sections) -> dict:
 
 def _witness_dict(candidate: WitnessCandidate) -> dict:
     return {
-        "direction": _vector_to_json(candidate.direction),
-        "direction_operator": _matrix_to_json(candidate.direction_operator),
-        "phi_matrix": _matrix_to_json(candidate.phi_matrix),
-        "psi_matrix_dagger": _matrix_to_json(candidate.psi_matrix.conj().T),
-        "phi": _vector_to_json(candidate.phi),
-        "psi": _vector_to_json(candidate.psi),
+        "direction": _to_json(candidate.direction),
+        "direction_operator": _to_json(candidate.direction_operator),
+        "phi_matrix": _to_json(candidate.phi_matrix),
+        "psi_matrix_dagger": _to_json(candidate.psi_matrix.conj().T),
+        "phi": _to_json(candidate.phi),
+        "psi": _to_json(candidate.psi),
         "value": candidate.value,
         "quadratic_form": candidate.quadratic_form,
         "transpose_sign": candidate.transpose_sign,
@@ -407,14 +404,14 @@ def cmd_convert(config: ProblemConfig) -> tuple[dict, int]:
         converted = gks_to_lindblad(config.gks, tol=config.tolerance)
         payload = {
             "form": "lindblad",
-            "hamiltonian": _matrix_to_json(converted.hamiltonian),
-            "jump_ops": [_matrix_to_json(v) for v in converted.jump_ops],
+            "hamiltonian": _to_json(converted.hamiltonian),
+            "jump_ops": [_to_json(v) for v in converted.jump_ops],
         }
     else:
         payload = {
             "form": "gks",
-            "hamiltonian": _matrix_to_json(config.gks.hamiltonian),
-            "coeff": _matrix_to_json(config.gks.coeff),
+            "hamiltonian": _to_json(config.gks.hamiltonian),
+            "coeff": _to_json(config.gks.coeff),
         }
     return _report(config, "convert", generator={"dim": config.gks.dim, **payload}), EXIT_OK
 
@@ -454,8 +451,8 @@ def cmd_evolve(config: ProblemConfig, state: DensityMatrix, t: float) -> tuple[d
         "evolve",
         time=t,
         mode=mode,
-        state=_matrix_to_json(evolved),
-        trace=_complex_to_json(complex(np.trace(evolved))),
+        state=_to_json(evolved),
+        trace=_to_json(np.trace(evolved)),
         hermiticity_deviation=hermiticity_deviation(evolved),
         min_eigenvalue=low,
         positivity_violated=bool(violated),

@@ -28,13 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentVerdict, InvalidState, ShapeMismatch, ZeroVector
-from .generator import (
-    GKSGenerator,
-    Superoperator,
-    _dissipator_superop,
-    _hamiltonian_superop,
-    superoperator_of,
-)
+from .generator import GKSGenerator, Superoperator, _generator_matrix, superoperator_of
 from .linalg import (
     POSITIVITY_TOL,
     eps_pos,
@@ -142,12 +136,10 @@ def tensor_extension(g: GKSGenerator) -> Superoperator:
     """
     d = g.dim
     eye = np.eye(d)
-    h_ext = np.kron(g.hamiltonian, eye) + np.kron(eye, g.hamiltonian)
     left = np.stack([np.kron(f, eye) for f in g.basis.elements])
     right = np.stack([np.kron(eye, f) for f in g.basis.elements])
-    mat = _hamiltonian_superop(h_ext)
-    mat += _dissipator_superop(g.coeff, left)
-    mat += _dissipator_superop(g.coeff, right)
+    mat = _generator_matrix(np.kron(g.hamiltonian, eye), g.coeff, left)
+    mat += _generator_matrix(np.kron(eye, g.hamiltonian), g.coeff, right)
     return Superoperator(dim=d * d, matrix=mat)
 
 

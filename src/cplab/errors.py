@@ -65,10 +65,6 @@ class TraceConditionViolated(CplabError):
     """Tr(Psi Phi^dagger) = 0 precondition failed."""
 
 
-class DegenerateW(CplabError):
-    """Witness direction produced a vanishing operator (internal error)."""
-
-
 class InvalidGrid(CplabError):
     """Time grid must be nonempty, finite, nonnegative and strictly increasing."""
 

@@ -172,24 +172,26 @@ def gks_to_lindblad(g: GKSGenerator, tol: float = POSITIVITY_TOL) -> LindbladGen
     return LindbladGenerator(dim=g.dim, hamiltonian=g.hamiltonian, jump_ops=tuple(jump_ops))
 
 
-def _hamiltonian_superop(h: np.ndarray) -> np.ndarray:
-    eye = np.eye(h.shape[0])
-    return -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+def _generator_matrix(h: np.ndarray, coeff: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Column-stacking matrix of the generator with Hamiltonian ``h``,
+    coefficients ``coeff`` and operators ``ops = {A_a}``.
 
-
-def _dissipator_superop(coeff: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """Superoperator of ``sum_ab c_ab (A_a . A_b^dagger - 1/2 {A_b^dagger A_a, .})``."""
-    d = ops.shape[1]
+    With ``X_b = sum_a c_ab A_a`` and ``K = -i h - 1/2 sum_b A_b^dagger X_b``
+    the map is ``K rho + rho K^dagger + sum_b X_b rho A_b^dagger``, whose
+    matrix is ``I kron K + conj(K) kron I + sum_b conj(A_b) kron X_b``.
+    """
+    n, d = ops.shape[:2]
+    x = np.tensordot(coeff, ops, axes=(0, 0))
+    ops_bar = ops.conj()
+    k = -1j * h - 0.5 * np.tensordot(ops_bar, x, axes=([0, 1], [0, 1]))
+    jumps = ops_bar.reshape(n, d * d).T @ x.reshape(n, d * d)
+    out = jumps.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     eye = np.eye(d)
-    sandwich = np.einsum("ab,aij,bkl->kilj", coeff, ops, ops.conj(), optimize=True)
-    out = sandwich.reshape(d * d, d * d)
-    gmat = np.einsum("ab,bki,akj->ij", coeff, ops.conj(), ops, optimize=True)
-    out -= 0.5 * (np.kron(eye, gmat) + np.kron(gmat.T, eye))
+    out += np.kron(eye, k) + np.kron(k.conj(), eye)
     return out
 
 
 def superoperator_of(g: GKSGenerator) -> Superoperator:
     """Matrix representation of the generator under column stacking."""
-    mat = _hamiltonian_superop(g.hamiltonian)
-    mat += _dissipator_superop(g.coeff, g.basis.elements)
+    mat = _generator_matrix(g.hamiltonian, g.coeff, g.basis.elements)
     return Superoperator(dim=g.dim, matrix=mat)

@@ -29,7 +29,6 @@ import numpy as np
 from .basis import OperatorBasis
 from .dynamics import _join_factors, _split_factors, doubled_evolution
 from .errors import (
-    DegenerateW,
     InconsistentVerdict,
     InvalidGrid,
     NotOrthogonal,
@@ -210,8 +209,6 @@ def _candidate_from_direction(
     phi_matrix: np.ndarray | None,
 ) -> WitnessCandidate:
     w_op = direction_operator(w, g.basis)
-    if fro_norm(w_op) <= 1e-14:
-        raise DegenerateW("direction produced a vanishing operator")
     if phi_matrix is None:
         phi_m = similarity_to_transpose(w_op, rng=rng)
     else:

@@ -234,15 +234,21 @@ class TestSuperoperator:
         oracle = -1j * (np.kron(np.eye(d), h) - np.kron(h.T, np.eye(d)))
         np.testing.assert_allclose(s.matrix, oracle, atol=1e-14)
 
-    def test_consistency_with_apply(self):
-        rng = np.random.default_rng(31)
-        g = GKSGenerator(
-            dim=2, hamiltonian=np.zeros((2, 2)), coeff=np.eye(3), basis=standard_basis(2)
-        )
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_consistency_with_apply(self, d):
+        # Random traceless H and an indefinite complex C, against two
+        # matrix-free evaluations of the generator.
+        rng = np.random.default_rng(31 + d)
+        g = random_generator(d, rng)
+        assert np.linalg.eigvalsh(g.coeff)[0] < 0 < np.max(np.abs(g.coeff.imag))
         s = superoperator_of(g)
-        for _ in range(20):
-            rho = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            np.testing.assert_allclose(s.apply(rho), apply_generator(g, rho), atol=1e-12)
+        for _ in range(5):
+            rho = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            out = s.apply(rho)
+            naive = _naive_apply(g.hamiltonian, g.coeff, g.basis.elements, rho)
+            atol = 1e-12 * max(1.0, np.max(np.abs(naive)))
+            np.testing.assert_allclose(out, naive, rtol=0, atol=atol)
+            np.testing.assert_allclose(out, apply_generator(g, rho), rtol=0, atol=atol)
 
     def test_hermiticity_preserving_action(self):
         rng = np.random.default_rng(32)

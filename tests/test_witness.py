@@ -26,7 +26,7 @@ from cplab.errors import (
     TraceConditionViolated,
     ZeroVector,
 )
-from cplab.generator import _dissipator_superop, _hamiltonian_superop
+from cplab.generator import _generator_matrix
 
 from helpers import (
     random_generator,
@@ -323,8 +323,7 @@ def test_single_sided_extension_regression():
     ops_left = np.stack([np.kron(f, eye) for f in g.basis.elements])
     single = Superoperator(
         dim=d * d,
-        matrix=_hamiltonian_superop(np.kron(g.hamiltonian, eye))
-        + _dissipator_superop(g.coeff, ops_left),
+        matrix=_generator_matrix(np.kron(g.hamiltonian, eye), g.coeff, ops_left),
     )
     for _ in range(5):
         u = rng.standard_normal(d * d - 1) + 1j * rng.standard_normal(d * d - 1)
