@@ -20,7 +20,6 @@ from .generator import (
     superoperator_of,
 )
 from .linalg import (
-    EigenDecomposition,
     hermitian_eig,
     matrix_exp,
     min_eigenvalue,
@@ -46,7 +45,6 @@ __all__ = [
     "BasisReport",
     "CPVerdict",
     "DensityMatrix",
-    "EigenDecomposition",
     "GKSGenerator",
     "LindbladGenerator",
     "NegativityScan",

@@ -113,9 +113,11 @@ def validate_basis(basis: OperatorBasis | np.ndarray, dim: int | None = None) ->
         if dim is not None and elems.shape[1] != dim:
             raise ShapeMismatch(f"elements are {elems.shape[1]}x{elems.shape[2]}, expected d={dim}")
     traces = np.einsum("aii->a", elems)
-    gram = np.einsum("aji,bji->ab", elems.conj(), elems)
+    n, d = elems.shape[:2]
+    flat = elems.reshape(n, d * d)
+    gram = flat.conj() @ flat.T
     max_trace = float(np.max(np.abs(traces))) if traces.size else 0.0
-    max_gram = float(np.max(np.abs(gram - np.eye(elems.shape[0])))) if traces.size else 0.0
+    max_gram = float(np.max(np.abs(gram - np.eye(n)))) if traces.size else 0.0
     return BasisReport(
         max_trace_deviation=max_trace,
         max_gram_deviation=max_gram,

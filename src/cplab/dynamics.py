@@ -10,11 +10,13 @@ exponentiated, one time grid per :func:`matrix_exp` call;
 reference.
 
 Complete positivity is decided by the exact coefficient-matrix criterion
-(smallest eigenvalue of ``C`` against the cutoff ``eps_pos(C, tol)``),
-cross-checked by conditional complete positivity: the Choi matrix of ``L``
-compressed onto the orthogonal complement of the maximally entangled vector
-has spectrum ``spec(C)``.  The two criteria must agree or
-:class:`InconsistentVerdict` is raised.
+(smallest eigenvalue of ``C`` against the cutoff ``eps_pos(C, tol)``), the
+same test that gates witness construction and the jump-form conversion.
+It is cross-checked by conditional complete positivity: the Choi matrix of
+``L`` compressed onto the orthogonal complement of the maximally entangled
+vector has spectrum ``spec(C)``, so the two smallest eigenvalues must agree
+to roundoff, ``1e-10 * ||Choi||_F``, or :class:`InconsistentVerdict` is
+raised.
 
 :func:`choi_matrix` returns the unnormalized Choi matrix
 ``sum_ij E_ij kron m[E_ij]`` over matrix units as a plain array, obtained
@@ -28,14 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentVerdict, InvalidState, ShapeMismatch, ZeroVector
-from .generator import GKSGenerator, Superoperator, _generator_matrix, superoperator_of
-from .linalg import (
-    POSITIVITY_TOL,
-    eps_pos,
-    matrix_exp,
-    min_eigenvalue,
-    require_hermitian,
-)
+from .generator import GKSGenerator, Superoperator, _coeff_psd, _generator_matrix, superoperator_of
+from .linalg import POSITIVITY_TOL, eps_pos, fro_norm, matrix_exp, min_eigenvalue, require_hermitian
+
+#: Largest ``|lambda_min(compressed Choi) - lambda_min(C)|``, relative to
+#: ``||Choi||_F``, that counts as roundoff; more means a bug.
+_CHOI_AGREEMENT = 1e-10
+
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -70,24 +71,17 @@ class DensityMatrix:
 class CPVerdict:
     """Outcome of the complete-positivity test.
 
-    ``min_choi_eigenvalue`` is the smallest eigenvalue of the Choi matrix of
-    ``L`` compressed onto the orthogonal complement of the maximally
-    entangled vector; ``tolerance`` is the cutoff ``eps_pos(C, tol)``
-    that both it and ``min_coeff_eigenvalue`` are held to.
+    ``is_cp`` is ``min_coeff_eigenvalue >= -tolerance`` with ``tolerance``
+    the cutoff ``eps_pos(C, tol)``.  ``min_choi_eigenvalue`` is the smallest
+    eigenvalue of the Choi matrix of ``L`` compressed onto the orthogonal
+    complement of the maximally entangled vector, equal to
+    ``min_coeff_eigenvalue`` up to roundoff.
     """
 
     is_cp: bool
     min_choi_eigenvalue: float
     min_coeff_eigenvalue: float
     tolerance: float
-
-    def __post_init__(self):
-        if self.is_cp != (self.min_choi_eigenvalue >= -self.tolerance):
-            raise InconsistentVerdict(
-                f"coefficient criterion (min eig {self.min_coeff_eigenvalue:.6e}) and "
-                f"compressed Choi matrix (min eig {self.min_choi_eigenvalue:.6e}) "
-                f"disagree at tol {self.tolerance:.1e}"
-            )
 
 
 def evolution_map(g: GKSGenerator, t: float) -> Superoperator:
@@ -156,21 +150,27 @@ def choi_matrix(m: Superoperator) -> np.ndarray:
 def is_completely_positive(g: GKSGenerator, tol: float = POSITIVITY_TOL) -> CPVerdict:
     """Decide complete positivity of the semigroup generated by ``g``.
 
-    The verdict is ``lambda_min(C) >= -eps_pos(C, tol)``.  The Choi
-    matrix of ``L``, compressed onto the orthogonal complement of the
+    The verdict is ``lambda_min(C) >= -eps_pos(C, tol)``, the same test
+    that gates :func:`construct_witness` and :func:`gks_to_lindblad`.  The
+    Choi matrix of ``L``, compressed onto the orthogonal complement of the
     maximally entangled vector, has the same spectrum as ``C`` (conditional
     complete positivity); its smallest eigenvalue is reported as
-    ``min_choi_eigenvalue`` and must pass the same cutoff, or the verdict
-    raises :class:`InconsistentVerdict`.
+    ``min_choi_eigenvalue``.  It makes no second decision at the cutoff: if
+    it differs from ``lambda_min(C)`` by more than ``1e-10 * ||Choi||_F``,
+    the verdict raises :class:`InconsistentVerdict`.
     """
     d = g.dim
-    cutoff = eps_pos(g.coeff, tol)
-    min_coeff = min_eigenvalue(g.coeff)
+    min_coeff, cutoff = _coeff_psd(g, tol)
     choi = choi_matrix(superoperator_of(g))
     entangled = np.eye(d).reshape(1, d * d) / np.sqrt(d)
     # The rows of V^H after the first span the complement of ``entangled``.
     complement = np.linalg.svd(entangled)[2][1:].T
     min_choi = min_eigenvalue(complement.T @ choi @ complement)
+    if abs(min_choi - min_coeff) > _CHOI_AGREEMENT * fro_norm(choi):
+        raise InconsistentVerdict(
+            f"coefficient matrix (min eig {min_coeff:.6e}) and compressed Choi matrix "
+            f"(min eig {min_choi:.6e}) disagree beyond roundoff"
+        )
     return CPVerdict(
         is_cp=min_coeff >= -cutoff,
         min_choi_eigenvalue=min_choi,

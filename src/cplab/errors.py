@@ -13,6 +13,10 @@ class NonSquare(CplabError):
     """A square matrix was required."""
 
 
+class NonFinite(CplabError, ValueError):
+    """An input holds NaN or infinite entries."""
+
+
 class NonHermitian(CplabError):
     """Hermiticity deviation exceeded tolerance."""
 

@@ -28,6 +28,7 @@ from .linalg import (
     eps_pos,
     fro_norm,
     hermitian_eig,
+    min_eigenvalue,
     require_hermitian,
     require_square,
     unvec,
@@ -35,11 +36,9 @@ from .linalg import (
 )
 
 
-def _require_traceless(
-    m: np.ndarray, name: str, error=NonTraceless, tol: float = HERMITICITY_TOL
-) -> np.ndarray:
+def _require_traceless(m: np.ndarray, name: str, error=NonTraceless) -> np.ndarray:
     trace = abs(complex(np.trace(m)))
-    if trace > tol * max(1.0, fro_norm(m)):
+    if trace > HERMITICITY_TOL * max(1.0, fro_norm(m)):
         raise error(f"{name} has |trace| = {trace:.3e}, expected 0")
     return m
 
@@ -71,6 +70,12 @@ class GKSGenerator:
             raise ShapeMismatch(f"basis dimension {self.basis.dim} != generator dimension {self.dim}")
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "coeff", c)
+
+
+def _coeff_psd(g: GKSGenerator, tol: float) -> tuple[float, float]:
+    """``(low, cutoff) = (lambda_min(C), eps_pos(C, tol))``; ``C`` is PSD iff ``low >= -cutoff``.
+    The CP verdict, both witnesses and the jump-form conversion all gate on this."""
+    return min_eigenvalue(g.coeff), eps_pos(g.coeff, tol)
 
 
 @dataclass(frozen=True)
@@ -152,19 +157,18 @@ def gks_to_lindblad(g: GKSGenerator, tol: float = POSITIVITY_TOL) -> LindbladGen
     """Factor ``C`` and return the jump-operator form.
 
     The factorization goes through the Hermitian eigendecomposition rather
-    than Cholesky, which fails on the semidefinite boundary.  Eigenvalues in
-    ``[-eps_pos(C, tol), 0]`` are clamped to zero; anything lower raises
-    :class:`NotCompletelyPositive` (the conversion is undefined there).
+    than Cholesky, which fails on the semidefinite boundary.  A ``C`` that
+    the CP verdict finds not PSD raises :class:`NotCompletelyPositive` (the
+    conversion is undefined there); eigenvalues up to ``1e-12 *
+    max(1, lambda_max)`` are dropped.
     """
-    cutoff = eps_pos(g.coeff, tol)
-    decomp = hermitian_eig(g.coeff)
-    if decomp.eigenvalues[0] < -cutoff:
-        raise NotCompletelyPositive(
-            f"coefficient matrix has eigenvalue {decomp.eigenvalues[0]:.6e} < -{cutoff:.1e}"
-        )
-    drop = 1e-12 * max(1.0, float(decomp.eigenvalues[-1]))
+    low, cutoff = _coeff_psd(g, tol)
+    if low < -cutoff:
+        raise NotCompletelyPositive(f"coefficient matrix has eigenvalue {low:.6e} < -{cutoff:.1e}")
+    vals, vecs = hermitian_eig(g.coeff)
+    drop = 1e-12 * max(1.0, float(vals[-1]))
     jump_ops = []
-    for lam, col in zip(decomp.eigenvalues, decomp.eigenvectors.T):
+    for lam, col in zip(vals, vecs.T):
         if lam <= drop:
             continue
         v = np.sqrt(lam) * np.tensordot(col, g.basis.elements, axes=1)

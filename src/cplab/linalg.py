@@ -15,11 +15,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import NegativeTime, NonHermitian, NonSquare, SolverFailure
+from .errors import NegativeTime, NonFinite, NonHermitian, NonSquare, SolverFailure
 
 #: Relative Hermiticity tolerance (single knob shared by all callers).
 HERMITICITY_TOL = 1e-10
@@ -60,12 +58,12 @@ def eps_pos(m: np.ndarray, tol: float = POSITIVITY_TOL) -> float:
 
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-D complex array; reject NaN/Inf entries."""
+    """Coerce to a finite 2-D complex array; NaN/Inf entries raise :class:`NonFinite`."""
     arr = np.asarray(m, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise NonSquare(f"{name} must be a 2-D matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise ValueError(f"{name} contains non-finite entries")
+    if not np.all(np.isfinite(arr)):
+        raise NonFinite(f"{name} contains non-finite entries")
     return arr
 
 
@@ -81,44 +79,35 @@ def hermiticity_deviation(m: np.ndarray) -> float:
     return fro_norm(m - m.conj().T) / max(1.0, fro_norm(m))
 
 
-def require_hermitian(m, name: str = "matrix", tol: float = HERMITICITY_TOL) -> np.ndarray:
+def require_hermitian(m, name: str = "matrix") -> np.ndarray:
     arr = require_square(m, name)
     dev = hermiticity_deviation(arr)
-    if dev > tol:
-        raise NonHermitian(f"{name} deviates from Hermiticity by {dev:.3e} (tol {tol:.1e})")
+    if dev > HERMITICITY_TOL:
+        raise NonHermitian(
+            f"{name} deviates from Hermiticity by {dev:.3e} (tol {HERMITICITY_TOL:.1e})"
+        )
     return arr
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Spectral data of a Hermitian matrix.
+def _symmetrized(m) -> np.ndarray:
+    """``(M + M^dagger) / 2`` after :func:`require_hermitian`; keeps roundoff out of spectra."""
+    arr = require_hermitian(m)
+    return (arr + arr.conj().T) / 2.0
 
-    ``eigenvalues`` are real and ascending; ``eigenvectors`` holds the
-    corresponding orthonormal columns.
+
+def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, vectors)`` of a Hermitian matrix, like ``np.linalg.eigh``.
+
+    Eigenvalues are ascending and the columns of ``vectors`` orthonormal.
+    Deviations from Hermiticity beyond ``HERMITICITY_TOL`` raise
+    :class:`NonHermitian`.
     """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    return np.linalg.eigh(_symmetrized(m))
 
 
-def hermitian_eig(m, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    The input is symmetrized before the LAPACK call so that roundoff in the
-    caller cannot leak into the spectrum; deviations beyond ``tol`` raise
-    :class:`NonHermitian` instead.
-    """
-    arr = require_hermitian(m, tol=tol)
-    herm = (arr + arr.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(herm)
-    return EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
-
-
-def min_eigenvalue(m, tol: float = HERMITICITY_TOL) -> float:
+def min_eigenvalue(m) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
-    arr = require_hermitian(m, tol=tol)
-    herm = (arr + arr.conj().T) / 2.0
-    return float(np.linalg.eigvalsh(herm)[0])
+    return float(np.linalg.eigvalsh(_symmetrized(m))[0])
 
 
 def matrix_exp(m, times=None) -> np.ndarray:
@@ -192,18 +181,14 @@ def _transpose_commutant_basis(w: np.ndarray) -> np.ndarray:
     return null_rows.conj().reshape(-1, d, d).transpose(0, 2, 1)
 
 
-def similarity_to_transpose(
-    w,
-    rng: np.random.Generator | None = None,
-    tol: float = SIMILARITY_TOL,
-) -> np.ndarray:
+def similarity_to_transpose(w, rng: np.random.Generator | None = None) -> np.ndarray:
     """Invertible ``P`` with ``P^{-1} W P = W^T`` in the standard basis.
 
     Numerical Jordan forms are avoided: random complex combinations of the
     nullspace basis of ``W X = X W^T`` are generically invertible, so the
     solver samples up to 64 combinations and keeps the best-conditioned
     candidate whose ``sigma_min / sigma_max`` exceeds 1e-10 and whose
-    residual satisfies ``||P^{-1} W P - W^T||_F <= tol * max(1, ||W||_F)``.
+    residual satisfies ``||P^{-1} W P - W^T||_F <= SIMILARITY_TOL * max(1, ||W||_F)``.
     The candidate is returned scaled to spectral norm 1.
     """
     w_arr = require_square(w, "W")
@@ -234,7 +219,7 @@ def similarity_to_transpose(
             continue
         cand = cand / sigma[0]
         residual = fro_norm(np.linalg.solve(cand, w_arr @ cand) - target)
-        if residual > tol * scale:
+        if residual > SIMILARITY_TOL * scale:
             continue
         if sigma_min > best_sigma_min:
             best_sigma_min = sigma_min

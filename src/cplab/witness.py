@@ -31,12 +31,13 @@ from .dynamics import _join_factors, _split_factors, doubled_evolution
 from .errors import (
     InconsistentVerdict,
     InvalidGrid,
+    NonFinite,
     NotOrthogonal,
     ShapeMismatch,
     TraceConditionViolated,
     ZeroVector,
 )
-from .generator import GKSGenerator, superoperator_of
+from .generator import GKSGenerator, _coeff_psd, superoperator_of
 from .linalg import (
     POSITIVITY_TOL,
     eps_pos,
@@ -142,6 +143,8 @@ def _pair_vectors(phi, psi, dim_sq: int):
         raise ShapeMismatch(
             f"pair vectors must have length {dim_sq}, got {phi_v.size} and {psi_v.size}"
         )
+    if not (np.all(np.isfinite(phi_v)) and np.all(np.isfinite(psi_v))):
+        raise NonFinite("pair vectors contain non-finite entries")
     if np.linalg.norm(psi_v) <= 0.0 or np.linalg.norm(phi_v) <= 0.0:
         raise ZeroVector("pair vectors must be nonzero")
     return phi_v, psi_v
@@ -242,16 +245,17 @@ def construct_witness(
 ):
     """Build a witness for the most negative direction of the coefficient matrix.
 
-    Returns :class:`NoNegativeDirection` when the coefficient matrix is PSD
+    Returns :class:`NoNegativeDirection` exactly when
+    :func:`is_completely_positive` at the same ``tol`` finds ``C`` PSD
     within ``eps_pos(C, tol)``.  ``phi_matrix`` overrides the
     similarity solver with a fixed coefficient matrix (it must conjugate
     ``W`` into ``+-W^T``); ties between degenerate eigenvalues resolve to
     the first column of the ascending eigendecomposition.
     """
-    decomp = hermitian_eig(g.coeff)
-    if decomp.eigenvalues[0] >= -eps_pos(g.coeff, tol):
-        return NoNegativeDirection(min_coeff_eigenvalue=float(decomp.eigenvalues[0]))
-    w = decomp.eigenvectors[:, 0]
+    low, cutoff = _coeff_psd(g, tol)
+    if low >= -cutoff:
+        return NoNegativeDirection(min_coeff_eigenvalue=low)
+    w = hermitian_eig(g.coeff)[1][:, 0]
     return _candidate_from_direction(g, w, rng, phi_matrix)
 
 
@@ -261,8 +265,9 @@ def symmetric_case_witness(g: GKSGenerator, tol: float = POSITIVITY_TOL):
     Requires every basis element Hermitian and a real (symmetric)
     coefficient matrix; then the negative direction can be taken real, ``W``
     is Hermitian with eigenvectors ``U``, and ``Phi = U U^T / d`` conjugates
-    ``W`` into ``+W^T``, so no similarity solve is needed.  Returns :class:`NotApplicable` when the hypotheses fail and
-    :class:`NoNegativeDirection` for a PSD coefficient matrix.
+    ``W`` into ``+W^T``, so no similarity solve is needed.  Returns
+    :class:`NotApplicable` when the hypotheses fail and
+    :class:`NoNegativeDirection` exactly when :func:`construct_witness` does.
     """
     f = g.basis.elements
     herm_dev = float(np.max(np.abs(f - f.conj().transpose(0, 2, 1))))
@@ -272,11 +277,11 @@ def symmetric_case_witness(g: GKSGenerator, tol: float = POSITIVITY_TOL):
     if imag_dev > 1e-10 * max(1.0, fro_norm(g.coeff)):
         return NotApplicable(reason=f"coefficient matrix has imaginary entries up to {imag_dev:.3e}")
 
-    c_real = g.coeff.real
-    vals, vecs = np.linalg.eigh(c_real)
-    if vals[0] >= -eps_pos(g.coeff, tol):
-        return NoNegativeDirection(min_coeff_eigenvalue=float(vals[0]))
-    w = vecs[:, 0].astype(complex)
+    low, cutoff = _coeff_psd(g, tol)
+    if low >= -cutoff:
+        return NoNegativeDirection(min_coeff_eigenvalue=low)
+    # The real driver keeps the direction real.
+    w = np.linalg.eigh(g.coeff.real)[1][:, 0].astype(complex)
     _, u = np.linalg.eigh(direction_operator(w, g.basis))
     return _candidate_from_direction(g, w, None, phi_matrix=(u @ u.T) / g.dim)
 

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from cplab import GKSGenerator, standard_basis
+from cplab import GKSGenerator, min_eigenvalue, standard_basis
+from cplab.linalg import eps_pos
 
 
 def random_hermitian(d, rng, scale=1.0):
@@ -30,6 +31,27 @@ def random_generator(d, rng, coeff=None, hamiltonian=None):
     if coeff is None:
         coeff = random_hermitian(n, rng)
     return GKSGenerator(dim=d, hamiltonian=hamiltonian, coeff=coeff, basis=basis)
+
+
+def coeff_at_cutoff(c0, tol, ulps=0):
+    """``c0 + s I`` with ``s`` stepped ``ulps`` floats from the shift at which
+    ``lambda_min(C)`` meets ``-eps_pos(C, tol)``, found by bisection down to
+    adjacent floats; ``ulps < 0`` lies on the non-PSD side."""
+    eye = np.eye(c0.shape[0])
+
+    def excess(s):
+        c = c0 + s * eye
+        return min_eigenvalue(c) + eps_pos(c, tol)
+
+    low = min_eigenvalue(c0)
+    width = 1.0 + abs(low)
+    lo, hi = -low - width, -low + width
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        lo, hi = (mid, hi) if excess(mid) < 0 else (lo, mid)
+    s = hi
+    for _ in range(abs(ulps)):
+        s = np.nextafter(s, np.sign(ulps) * np.inf)
+    return c0 + s * eye
 
 
 def random_density(d, rng):

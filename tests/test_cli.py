@@ -12,8 +12,10 @@ import scipy.linalg
 import cplab
 from cplab import Superoperator, tensor_extension
 from cplab.cli import main
+from cplab.linalg import POSITIVITY_TOL
 
 from helpers import (
+    coeff_at_cutoff,
     random_generator,
     random_hermitian,
     random_pure_vector,
@@ -163,6 +165,12 @@ class TestWitnessCommand:
         expected = np.array([[0.0, 1.0], [-1.0, 0.0]]) / np.sqrt(2.0)
         np.testing.assert_allclose(phi, expected, atol=1e-12)
         assert report["witness"]["transpose_sign"] == -1
+
+    def test_linear_grid_from_zero(self, capsys):
+        argv = ["scan", "--config", str(DATA / "config_negative.json"), "--grid", "0:1:5:lin"]
+        code, out, _ = _run(argv, capsys)
+        assert code == 2
+        assert json.loads(out)["scan"]["times"] == [0.0, 0.25, 0.5, 0.75, 1.0]
 
     def test_custom_grid(self, capsys):
         code, out, _ = _run(
@@ -583,6 +591,104 @@ class TestToleranceAndSeed:
     def test_invalid_config_seed(self, seed, tmp_path, capsys):
         cfg = _config_with(tmp_path, "config_negative.json", seed=seed)
         _assert_typed_error(["check-cp", "--config", str(cfg)], capsys)
+
+
+_PSD_COMMANDS = ("check-cp", "witness", "convert")
+
+
+class TestOnePsdDecision:
+    """``check-cp``, ``witness`` and ``convert`` agree on whether C is PSD."""
+
+    def test_zero_tolerance_dephasing_is_cp(self, tmp_path, capsys):
+        # The compressed Choi matrix finds -5.6e-17 where eigvalsh finds 0;
+        # roundoff in the cross-check must not turn into a verdict.
+        cfg = tmp_path / "dephasing.json"
+        dephasing = {"jump_ops": [np.diag([-1, 0, 1]).tolist()]}
+        cfg.write_text(json.dumps({"dim": 3, "generator": dephasing}))
+        for command in _PSD_COMMANDS:
+            assert _run([command, "--config", str(cfg), "--tol", "0"], capsys)[0] == 0
+        _, out, _ = _run(["check-cp", "--config", str(cfg), "--tol", "0"], capsys)
+        assert json.loads(out)["verdict"]["is_cp"] is True
+
+    @pytest.mark.parametrize("ulps", range(-4, 5))
+    def test_configs_at_the_cutoff(self, ulps, tmp_path, capsys):
+        # Three separate PSD decisions once gave exit codes 0, 1 and 2 at ulps = 0.
+        coeff = coeff_at_cutoff(random_hermitian(8, np.random.default_rng(3)), POSITIVITY_TOL, ulps)
+        cfg = tmp_path / "boundary.json"
+        _write_gks_config(cfg, np.zeros((3, 3)), coeff)
+        codes = {cmd: _run([cmd, "--config", str(cfg)], capsys)[0] for cmd in _PSD_COMMANDS}
+        assert len(set(codes.values())) == 1 and codes["check-cp"] in (0, 2), codes
+        if ulps < 0:
+            assert codes["check-cp"] == 2
+
+
+_GKS2 = {"dim": 2, "generator": {"coeff": np.eye(3).tolist()}}
+_CHECK = ["check-cp", "--config", "{tmp}/c.json"]
+_NEG = ["--config", "{data}/config_negative.json"]
+
+#: name: (argv, config written to {tmp}/c.json, state written to {tmp}/s.json,
+#: CPLAB_TOL, a fragment of the error line); a str config is written verbatim.
+CLI_ERROR_CASES = {
+    "dim-not-int": (_CHECK, {**_GKS2, "dim": "2"}, None, None, "dim: expected an integer"),
+    "dim-below-2": (_CHECK, {**_GKS2, "dim": 1}, None, None, "dim: expected an integer"),
+    "dim-missing": (_CHECK, {"generator": _GKS2["generator"]}, None, None, "missing field 'dim'"),
+    "generator-missing": (_CHECK, {"dim": 2}, None, None, "'generator'"),
+    "generator-not-object": (_CHECK, {"dim": 2, "generator": [1]}, None, None, "'generator'"),
+    "form-mismatch": (
+        _CHECK,
+        {"dim": 2, "generator": {**_GKS2["generator"], "form": "lindblad"}},
+        None,
+        None,
+        "does not match",
+    ),
+    "tolerances-not-object": (
+        _CHECK, {**_GKS2, "tolerances": [1e-9]}, None, None, "tolerances: expected"
+    ),
+    "grid-not-list": (
+        ["scan", "--config", "{tmp}/c.json"], {**_GKS2, "grid": 0.5}, None, None, "grid: expected"
+    ),
+    "env-tol-not-number": (_CHECK, _GKS2, None, "abc", "CPLAB_TOL='abc' is not a number"),
+    "invalid-json": (_CHECK, '{"dim": 2,', None, None, "not valid JSON"),
+    "top-level-not-object": (_CHECK, [1, 2], None, None, "top level must be a JSON object"),
+    "state-without-matrix-or-vector": (
+        ["evolve", *_NEG, "--time", "0.1", "--state", "{tmp}/s.json"],
+        None,
+        {"psi": [1, 0]},
+        None,
+        "'matrix' or 'vector'",
+    ),
+    "scan-pair-without-phi": (
+        ["scan", *_NEG, "--state", "{tmp}/s.json"], None, {"psi": [1, 0, 0, 1]}, None, "'phi'"
+    ),
+    "bell-fixture-at-d3": (
+        ["witness", "--config", "{tmp}/c.json", "--bell-fixture"],
+        {"dim": 3, "generator": {"coeff": (-np.eye(8)).tolist()}},
+        None,
+        None,
+        "only defined for dim = 2",
+    ),
+    "no-config": (["check-cp"], None, None, None, "--config is required"),
+    "grid-bad-number": (["scan", *_NEG, "--grid", "a:1:5:lin"], None, None, None, "could not"),
+    "grid-log-from-zero": (["scan", *_NEG, "--grid", "0:1:5:log"], None, None, None, "start > 0"),
+    "grid-unknown-spacing": (
+        ["scan", *_NEG, "--grid", "1e-3:1:5:cubic"], None, None, None, "spacing must be"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, config, state, env, message", CLI_ERROR_CASES.values(), ids=CLI_ERROR_CASES.keys()
+)
+def test_cli_error_paths(argv, config, state, env, message, tmp_path, monkeypatch, capsys):
+    """Malformed configs, state files, flags and environment exit 1 with a typed error."""
+    for name, content in (("c.json", config), ("s.json", state)):
+        if content is not None:
+            text = content if isinstance(content, str) else json.dumps(content)
+            (tmp_path / name).write_text(text)
+    if env is not None:
+        monkeypatch.setenv("CPLAB_TOL", env)
+    err = _assert_typed_error([a.format(tmp=tmp_path, data=DATA) for a in argv], capsys)
+    assert message in err
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,23 +1,41 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cplab import (
     DensityMatrix,
     GKSGenerator,
+    LindbladGenerator,
+    NoNegativeDirection,
+    NotApplicable,
     Superoperator,
     apply_generator,
     choi_matrix,
+    construct_witness,
     evolution_map,
+    gks_to_lindblad,
     is_completely_positive,
+    lindblad_to_gks,
     standard_basis,
     superoperator_of,
+    symmetric_case_witness,
     tensor_extension,
 )
-from cplab.errors import InvalidState, NegativeTime, ShapeMismatch, ZeroVector
-from cplab.linalg import fro_norm, matrix_exp, min_eigenvalue, unvec, vec
+from cplab import generator
+from cplab.errors import (
+    InconsistentVerdict,
+    InvalidState,
+    NegativeTime,
+    NotCompletelyPositive,
+    ShapeMismatch,
+    ZeroVector,
+)
+from cplab.linalg import POSITIVITY_TOL, fro_norm, matrix_exp, min_eigenvalue, unvec, vec
 
 from helpers import (
+    coeff_at_cutoff,
     random_density,
     random_generator,
     random_hermitian,
@@ -238,6 +256,73 @@ class TestIsCompletelyPositive:
                 assert not verdict.is_cp
                 assert verdict.min_coeff_eigenvalue == pytest.approx(-0.5, abs=1e-12)
                 assert verdict.min_choi_eigenvalue == pytest.approx(-0.5, abs=1e-12)
+
+    def test_choi_cross_check_catches_a_wrong_superoperator(self, monkeypatch):
+        # A superoperator built from 1.01 C moves the compressed Choi
+        # spectrum by 1% of lambda_min(C), far beyond roundoff, whichever
+        # side of the cutoff both eigenvalues fall on.
+        build = generator._generator_matrix
+        monkeypatch.setattr(
+            generator, "_generator_matrix", lambda h, coeff, ops: build(h, 1.01 * coeff, ops)
+        )
+        rng = np.random.default_rng(1)
+        for d in (2, 3, 4):
+            for _ in range(10):
+                with pytest.raises(InconsistentVerdict):
+                    is_completely_positive(random_generator(d, rng))
+
+
+def _assert_one_verdict(g, tol):
+    """The verdict, both witness constructions and the conversion agree on C >= 0."""
+    verdict = is_completely_positive(g, tol=tol)
+    witness = construct_witness(g, rng=np.random.default_rng(0), tol=tol)
+    assert isinstance(witness, NoNegativeDirection) == verdict.is_cp
+    if verdict.is_cp:
+        assert witness.min_coeff_eigenvalue == verdict.min_coeff_eigenvalue
+    try:
+        gks_to_lindblad(g, tol=tol)
+        converts = True
+    except NotCompletelyPositive:
+        converts = False
+    assert converts == verdict.is_cp
+    shortcut = symmetric_case_witness(g, tol=tol)
+    if not isinstance(shortcut, NotApplicable):
+        assert isinstance(shortcut, NoNegativeDirection) == verdict.is_cp
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-6.0, 6.0),
+    tol=st.sampled_from([0.0, POSITIVITY_TOL]),
+    jumps=st.integers(0, 2),
+    ulps=st.integers(-4, 4),
+    real=st.booleans(),
+)
+def test_one_psd_decision(d, seed, log_scale, tol, jumps, ulps, real):
+    """Near the cutoff and on rank-deficient C, at any scale of L, no verdict
+    raises and none contradicts another.
+
+    ``jumps = 0`` puts C within 4 ulps of the shift at which lambda_min(C)
+    meets ``-eps_pos(C, tol)``; otherwise C comes from 1 or 2 jump operators.
+    ``real`` makes C real, where the symmetric shortcut applies.
+    """
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    n = d * d - 1
+    hamiltonian = scale * random_traceless_hermitian(d, rng)
+    if jumps == 0:
+        c0 = scale * random_hermitian(n, rng)
+        coeff = coeff_at_cutoff(c0.real if real else c0, tol, ulps)
+        g = random_generator(d, rng, coeff=coeff, hamiltonian=hamiltonian)
+    else:
+        # Real symmetric jump operators give a real C over the Gell-Mann basis.
+        ops = [np.sqrt(scale) * random_traceless_hermitian(d, rng) for _ in range(2 * jumps)]
+        ops = [a.real if real else a + 1j * b for a, b in zip(ops[::2], ops[1::2])]
+        lind = LindbladGenerator(dim=d, hamiltonian=hamiltonian, jump_ops=tuple(ops))
+        g = lindblad_to_gks(lind, standard_basis(d))
+    _assert_one_verdict(g, tol)
 
 
 class TestDensityMatrix:

@@ -13,6 +13,7 @@ from cplab import (
     superoperator_of,
 )
 from cplab.errors import (
+    NonFinite,
     NonHermitian,
     NonTraceless,
     NonTracelessJump,
@@ -111,6 +112,15 @@ class TestGeneratorValidation:
         with pytest.raises(NonHermitian):
             GKSGenerator(
                 dim=2, hamiltonian=np.zeros((2, 2)), coeff=coeff, basis=standard_basis(2)
+            )
+
+    def test_rejects_non_finite_coeff(self):
+        with pytest.raises(NonFinite):
+            GKSGenerator(
+                dim=2,
+                hamiltonian=np.zeros((2, 2)),
+                coeff=np.diag([np.nan, 1.0, -1.0]),
+                basis=standard_basis(2),
             )
 
     def test_rejects_basis_dimension_mismatch(self):

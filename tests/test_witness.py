@@ -22,6 +22,7 @@ from cplab import (
 )
 from cplab.errors import (
     InvalidGrid,
+    NonFinite,
     NotOrthogonal,
     TraceConditionViolated,
     ZeroVector,
@@ -93,6 +94,17 @@ class TestOverlapRate:
         g = _neg_generator()
         with pytest.raises(ZeroVector):
             overlap_rate(g, np.ones(4), np.zeros(4))
+
+    def test_rejects_non_finite_vectors(self):
+        g = _neg_generator()
+        psi = np.array([0.0, 1.0, -1.0, 0.0])
+        phi = np.array([1.0, 0.0, 0.0, 1.0])
+        with pytest.raises(NonFinite):
+            overlap_rate(g, np.array([np.nan, 0.0, 0.0, 1.0]), psi)
+        with pytest.raises(NonFinite):
+            negativity_scan(g, np.array([np.nan, 1.0, -1.0, 0.0]), phi)
+        with pytest.raises(NonFinite):
+            negativity_scan(g, psi, np.array([np.inf, 0.0, 0.0, 1.0]))
 
     def test_unitary_part_independence(self):
         rng = np.random.default_rng(2)
