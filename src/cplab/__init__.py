@@ -14,7 +14,6 @@ from .generator import (
     GKSGenerator,
     LindbladGenerator,
     Superoperator,
-    apply_generator,
     gks_to_lindblad,
     lindblad_to_gks,
     superoperator_of,
@@ -35,7 +34,6 @@ from .witness import (
     direction_operator,
     negativity_scan,
     overlap_rate,
-    overlap_rate_trace_form,
     symmetric_case_witness,
 )
 
@@ -53,7 +51,6 @@ __all__ = [
     "OperatorBasis",
     "Superoperator",
     "WitnessCandidate",
-    "apply_generator",
     "bell_phi_matrix",
     "choi_matrix",
     "construct_witness",
@@ -67,7 +64,6 @@ __all__ = [
     "min_eigenvalue",
     "negativity_scan",
     "overlap_rate",
-    "overlap_rate_trace_form",
     "similarity_to_transpose",
     "standard_basis",
     "superoperator_of",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimension, ShapeMismatch
-from .linalg import as_complex_matrix
+from .linalg import require_square
 
 #: Trace / Gram deviations beyond this fail validation.
 BASIS_TOL = 1e-10
@@ -53,9 +53,7 @@ class OperatorBasis:
 
     def expansion_coefficients(self, k) -> np.ndarray:
         """Coefficients ``Tr(F_a^dagger K)`` of the traceless part of ``K``."""
-        arr = as_complex_matrix(k, "K")
-        if arr.shape != (self.dim, self.dim):
-            raise ShapeMismatch(f"K must be {self.dim}x{self.dim}, got {arr.shape}")
+        arr = require_square(k, "K", self.dim)
         return np.einsum("aij,ij->a", self.elements.conj(), arr)
 
     def reconstruct(self, trace: complex, coefficients: np.ndarray) -> np.ndarray:

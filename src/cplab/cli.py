@@ -89,43 +89,32 @@ def _real_from_json(value, field: str) -> float:
     return x
 
 
-def _entry_from_json(value, field: str) -> complex:
-    parts = value if isinstance(value, list) and len(value) == 2 else [value, 0]
-    if not all(_is_real(x) for x in parts):
-        raise ConfigError(f"{field}: entry {value!r} is not a number or [re, im] pair")
-    return complex(*(_real_from_json(x, field) for x in parts))
+def _array_from_json(obj, field: str, shape: tuple) -> np.ndarray:
+    """A complex array of ``shape`` from nested JSON lists of numbers or ``[re, im]`` pairs.
 
+    ``None`` in ``shape`` takes the first list's length on that axis, so rows must
+    agree; only a stack may be empty.  Errors name the path, e.g. ``generator.coeff[1]``.
+    """
+    shape = list(shape)
 
-def _vector_from_json(obj, field: str, length: int | None = None) -> np.ndarray:
-    if not isinstance(obj, list) or not obj:
-        raise ConfigError(f"{field}: expected a nonempty list of entries")
-    vec_ = np.array([_entry_from_json(v, f"{field}[{i}]") for i, v in enumerate(obj)])
-    if length is not None and vec_.size != length:
-        raise ConfigError(f"{field}: expected {length} entries, got {vec_.size}")
-    return vec_
+    def walk(node, path: str, axis: int):
+        if axis == len(shape):
+            parts = node if isinstance(node, list) and len(node) == 2 else [node, 0]
+            if not all(_is_real(x) for x in parts):
+                raise ConfigError(f"{path}: entry {node!r} is not a number or [re, im] pair")
+            return complex(*(_real_from_json(x, path) for x in parts))
+        kind = ("entries", "rows", "matrices")[len(shape) - axis - 1]
+        if not isinstance(node, list):
+            raise ConfigError(f"{path}: expected a list of {kind}")
+        if not node and kind != "matrices":
+            raise ConfigError(f"{path}: expected a nonempty list of {kind}")
+        if shape[axis] is None:
+            shape[axis] = len(node)
+        if len(node) != shape[axis]:
+            raise ConfigError(f"{path}: expected {shape[axis]} {kind}, got {len(node)}")
+        return [walk(x, f"{path}[{i}]", axis + 1) for i, x in enumerate(node)]
 
-
-def _matrix_from_json(obj, field: str, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
-        raise ConfigError(f"{field}: expected a list of rows")
-    width = cols if cols is not None else len(obj[0])
-    data = []
-    for i, row in enumerate(obj):
-        if len(row) != width:
-            raise ConfigError(f"{field} row {i} has {len(row)} entries, expected {width}")
-        data.append([_entry_from_json(v, f"{field}[{i}][{j}]") for j, v in enumerate(row)])
-    mat = np.array(data, dtype=complex)
-    if rows is not None and mat.shape[0] != rows:
-        raise ConfigError(f"{field} has {mat.shape[0]} rows, expected {rows}")
-    return mat
-
-
-def _matrices_from_json(obj, field: str, dim: int) -> np.ndarray:
-    """A ``(k, dim, dim)`` stack from a JSON list of ``k >= 0`` matrices."""
-    if not isinstance(obj, list):
-        raise ConfigError(f"{field}: expected a list of matrices")
-    mats = [_matrix_from_json(m, f"{field}[{i}]", dim, dim) for i, m in enumerate(obj)]
-    return np.array(mats, dtype=complex).reshape(len(mats), dim, dim)
+    return np.array(walk(obj, field, 0), dtype=complex).reshape(shape)
 
 
 def _read_json(path: str, what: str) -> dict:
@@ -256,23 +245,23 @@ def load_config(args) -> ProblemConfig:
     if gen.get("hamiltonian") is None:
         hamiltonian = np.zeros((dim, dim), dtype=complex)
     else:
-        hamiltonian = _matrix_from_json(gen["hamiltonian"], "generator.hamiltonian", dim, dim)
+        hamiltonian = _array_from_json(gen["hamiltonian"], "generator.hamiltonian", (dim, dim))
 
     if gen.get("basis") is None:
         basis = standard_basis(dim)
     else:
-        elems = _matrices_from_json(gen["basis"], "generator.basis", dim)
+        elems = _array_from_json(gen["basis"], "generator.basis", (None, dim, dim))
         with _naming("generator.basis"):
             basis = OperatorBasis(dim=dim, elements=elems)
 
     with _naming("generator"):
         if form == "gks":
             n = dim * dim - 1
-            coeff = _matrix_from_json(gen["coeff"], "generator.coeff", n, n)
+            coeff = _array_from_json(gen["coeff"], "generator.coeff", (n, n))
             gks = GKSGenerator(dim=dim, hamiltonian=hamiltonian, coeff=coeff, basis=basis)
         else:
-            jumps = tuple(_matrices_from_json(gen["jump_ops"], "generator.jump_ops", dim))
-            lindblad = LindbladGenerator(dim=dim, hamiltonian=hamiltonian, jump_ops=jumps)
+            jumps = _array_from_json(gen["jump_ops"], "generator.jump_ops", (None, dim, dim))
+            lindblad = LindbladGenerator(dim=dim, hamiltonian=hamiltonian, jump_ops=tuple(jumps))
             gks = lindblad_to_gks(lindblad, basis)
 
     tolerances = raw.get("tolerances", {})
@@ -424,10 +413,10 @@ def _load_state(path: str | None, config: ProblemConfig) -> DensityMatrix:
     raw = _read_json(path, "state")
     with _naming("state"):
         if "matrix" in raw:
-            mat = _matrix_from_json(raw["matrix"], "state.matrix")
+            mat = _array_from_json(raw["matrix"], "state.matrix", (None, None))
             return DensityMatrix(dim=mat.shape[0], matrix=mat)
         if "vector" in raw:
-            return DensityMatrix.from_pure(_vector_from_json(raw["vector"], "state.vector"))
+            return DensityMatrix.from_pure(_array_from_json(raw["vector"], "state.vector", (None,)))
     raise ConfigError("state: needs a 'matrix' or 'vector' field")
 
 
@@ -464,8 +453,8 @@ def _load_pair(path: str, dim_sq: int) -> tuple[np.ndarray, np.ndarray]:
     raw = _read_json(path, "state")
     if "psi" not in raw or "phi" not in raw:
         raise ConfigError("scan state: expected a JSON object with 'psi' and 'phi' vectors")
-    psi = _vector_from_json(raw["psi"], "state.psi", dim_sq)
-    phi = _vector_from_json(raw["phi"], "state.phi", dim_sq)
+    psi = _array_from_json(raw["psi"], "state.psi", (dim_sq,))
+    phi = _array_from_json(raw["phi"], "state.phi", (dim_sq,))
     return psi, phi
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistentVerdict, InvalidState, ShapeMismatch, ZeroVector
+from .errors import InconsistentVerdict, InvalidState, ZeroVector
 from .generator import GKSGenerator, Superoperator, _coeff_psd, _generator_matrix, superoperator_of
 from .linalg import POSITIVITY_TOL, eps_pos, fro_norm, matrix_exp, min_eigenvalue, require_hermitian
 
@@ -46,9 +46,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = require_hermitian(self.matrix, "density matrix")
-        if arr.shape != (self.dim, self.dim):
-            raise ShapeMismatch(f"state must be {self.dim}x{self.dim}, got {arr.shape}")
+        arr = require_hermitian(self.matrix, "density matrix", self.dim)
         trace = complex(np.trace(arr))
         if abs(trace - 1.0) > 1e-10:
             raise InvalidState(f"density matrix trace is {trace:.12g}, expected 1")

@@ -9,7 +9,11 @@ class CplabError(Exception):
     """Base class for all cplab errors."""
 
 
-class NonSquare(CplabError):
+class ShapeMismatch(CplabError):
+    """Operands have incompatible shapes."""
+
+
+class NonSquare(ShapeMismatch):
     """A square matrix was required."""
 
 
@@ -27,10 +31,6 @@ class SolverFailure(CplabError):
 
 class InvalidDimension(CplabError):
     """Dimension outside the supported range."""
-
-
-class ShapeMismatch(CplabError):
-    """Operands have incompatible shapes."""
 
 
 class NonTraceless(CplabError):

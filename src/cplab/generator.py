@@ -24,7 +24,6 @@ from .errors import NonTraceless, NonTracelessJump, NotCompletelyPositive, Shape
 from .linalg import (
     HERMITICITY_TOL,
     POSITIVITY_TOL,
-    as_complex_matrix,
     eps_pos,
     fro_norm,
     hermitian_eig,
@@ -43,6 +42,11 @@ def _require_traceless(m: np.ndarray, name: str, error=NonTraceless) -> np.ndarr
     return m
 
 
+def _hamiltonian(h, dim: int) -> np.ndarray:
+    """``h`` as a traceless Hermitian ``dim x dim`` matrix, or the typed error."""
+    return _require_traceless(require_hermitian(h, "hamiltonian", dim), "hamiltonian")
+
+
 @dataclass(frozen=True)
 class GKSGenerator:
     """Generator in coefficient-matrix form.
@@ -58,14 +62,8 @@ class GKSGenerator:
     basis: OperatorBasis
 
     def __post_init__(self):
-        h = require_hermitian(self.hamiltonian, "hamiltonian")
-        if h.shape != (self.dim, self.dim):
-            raise ShapeMismatch(f"hamiltonian must be {self.dim}x{self.dim}, got {h.shape}")
-        _require_traceless(h, "hamiltonian")
-        c = require_hermitian(self.coeff, "coeff")
-        n = self.dim * self.dim - 1
-        if c.shape != (n, n):
-            raise ShapeMismatch(f"coeff must be {n}x{n} for d={self.dim}, got {c.shape}")
+        h = _hamiltonian(self.hamiltonian, self.dim)
+        c = require_hermitian(self.coeff, "coeff", self.dim * self.dim - 1)
         if self.basis.dim != self.dim:
             raise ShapeMismatch(f"basis dimension {self.basis.dim} != generator dimension {self.dim}")
         object.__setattr__(self, "hamiltonian", h)
@@ -87,19 +85,11 @@ class LindbladGenerator:
     jump_ops: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        h = require_hermitian(self.hamiltonian, "hamiltonian")
-        if h.shape != (self.dim, self.dim):
-            raise ShapeMismatch(f"hamiltonian must be {self.dim}x{self.dim}, got {h.shape}")
-        _require_traceless(h, "hamiltonian")
+        h = _hamiltonian(self.hamiltonian, self.dim)
         ops = []
         for r, op in enumerate(self.jump_ops):
-            arr = require_square(op, f"jump_ops[{r}]")
-            if arr.shape != (self.dim, self.dim):
-                raise ShapeMismatch(
-                    f"jump_ops[{r}] must be {self.dim}x{self.dim}, got {arr.shape}"
-                )
-            _require_traceless(arr, f"jump_ops[{r}]", error=NonTracelessJump)
-            ops.append(arr)
+            arr = require_square(op, f"jump_ops[{r}]", self.dim)
+            ops.append(_require_traceless(arr, f"jump_ops[{r}]", error=NonTracelessJump))
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "jump_ops", tuple(ops))
 
@@ -112,33 +102,12 @@ class Superoperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = as_complex_matrix(self.matrix, "superoperator matrix")
-        n = self.dim * self.dim
-        if arr.shape != (n, n):
-            raise ShapeMismatch(f"superoperator for dim={self.dim} must be {n}x{n}, got {arr.shape}")
+        arr = require_square(self.matrix, "superoperator matrix", self.dim * self.dim)
         object.__setattr__(self, "matrix", arr)
 
     def apply(self, rho) -> np.ndarray:
-        arr = require_square(rho, "rho")
-        if arr.shape != (self.dim, self.dim):
-            raise ShapeMismatch(f"state must be {self.dim}x{self.dim}, got {arr.shape}")
+        arr = require_square(rho, "rho", self.dim)
         return unvec(self.matrix @ vec(arr), self.dim)
-
-
-def apply_generator(g: GKSGenerator, rho) -> np.ndarray:
-    """Evaluate the generator on a state without building its matrix."""
-    arr = require_square(rho, "rho")
-    if arr.shape != (g.dim, g.dim):
-        raise ShapeMismatch(f"rho must be {g.dim}x{g.dim}, got {arr.shape}")
-    h = g.hamiltonian
-    out = -1j * (h @ arr - arr @ h)
-    f = g.basis.elements
-    # sum_ab c_ab F_a rho F_b^dagger
-    out += np.einsum("ab,aij,jk,blk->il", g.coeff, f, arr, f.conj(), optimize=True)
-    # anticommutator part through G = sum_ab c_ab F_b^dagger F_a
-    gmat = np.einsum("ab,bki,akj->ij", g.coeff, f.conj(), f, optimize=True)
-    out -= 0.5 * (gmat @ arr + arr @ gmat)
-    return out
 
 
 def lindblad_to_gks(l: LindbladGenerator, basis: OperatorBasis) -> GKSGenerator:

@@ -5,6 +5,8 @@ Conventions used throughout the package:
 * Matrices are plain ``numpy.ndarray`` of dtype complex128, row-major.
 * Vectorization is column-stacking, ``vec(M)[i + d*j] = M[i, j]``, so that
   ``vec(A X B) = (B^T kron A) vec(X)``.
+* Every matrix argument goes through ``require_square(m, name, dim)``:
+  :class:`NonSquare` if not square, :class:`ShapeMismatch` if not ``dim x dim``.
 * Hermiticity is checked relative to ``max(1, ||M||_F)`` with tolerance
   ``HERMITICITY_TOL``; every positivity cutoff is ``eps_pos(M, tol)``.
 * :func:`matrix_exp` is numpy-only scaling and squaring with the [13/13]
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NegativeTime, NonFinite, NonHermitian, NonSquare, SolverFailure
+from .errors import NegativeTime, NonFinite, NonHermitian, NonSquare, ShapeMismatch, SolverFailure
 
 #: Relative Hermiticity tolerance (single knob shared by all callers).
 HERMITICITY_TOL = 1e-10
@@ -57,20 +59,16 @@ def eps_pos(m: np.ndarray, tol: float = POSITIVITY_TOL) -> float:
     return tol * max(1.0, fro_norm(m))
 
 
-def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-D complex array; NaN/Inf entries raise :class:`NonFinite`."""
+def require_square(m, name: str = "matrix", dim: int | None = None) -> np.ndarray:
+    """``m`` as a complex array: :class:`NonSquare` unless a nonempty square matrix,
+    :class:`ShapeMismatch` unless ``dim x dim``, :class:`NonFinite` on NaN/Inf entries."""
     arr = np.asarray(m, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise NonSquare(f"{name} must be a 2-D matrix, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
+        raise NonSquare(f"{name} must be a nonempty square matrix, got shape {arr.shape}")
+    if dim is not None and arr.shape != (dim, dim):
+        raise ShapeMismatch(f"{name} must be {dim}x{dim}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise NonFinite(f"{name} contains non-finite entries")
-    return arr
-
-
-def require_square(m, name: str = "matrix") -> np.ndarray:
-    arr = as_complex_matrix(m, name)
-    if arr.shape[0] != arr.shape[1]:
-        raise NonSquare(f"{name} must be square, got shape {arr.shape}")
     return arr
 
 
@@ -79,8 +77,9 @@ def hermiticity_deviation(m: np.ndarray) -> float:
     return fro_norm(m - m.conj().T) / max(1.0, fro_norm(m))
 
 
-def require_hermitian(m, name: str = "matrix") -> np.ndarray:
-    arr = require_square(m, name)
+def require_hermitian(m, name: str = "matrix", dim: int | None = None) -> np.ndarray:
+    """:func:`require_square`, and Hermitian within ``HERMITICITY_TOL`` (:class:`NonHermitian`)."""
+    arr = require_square(m, name, dim)
     dev = hermiticity_deviation(arr)
     if dev > HERMITICITY_TOL:
         raise NonHermitian(
@@ -173,8 +172,7 @@ def _transpose_commutant_basis(w: np.ndarray) -> np.ndarray:
     eye = np.eye(d)
     system = np.kron(eye, w) - np.kron(w, eye)
     _, sing, vh = np.linalg.svd(system)
-    cutoff = max(sing[0], 1.0) * 1e-12 if sing.size else 0.0
-    null_rows = vh[sing <= cutoff] if sing.size else vh
+    null_rows = vh[sing <= max(sing[0], 1.0) * 1e-12]
     if null_rows.size == 0:
         # Guaranteed nonempty in exact arithmetic; keep the best candidate.
         null_rows = vh[-1:]
@@ -206,7 +204,7 @@ def similarity_to_transpose(w, rng: np.random.Generator | None = None) -> np.nda
     best: np.ndarray | None = None
     best_sigma_min = 0.0
     valid_found = 0
-    for draw in range(64):
+    for _ in range(64):
         coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         cand = np.tensordot(coeff, basis, axes=1)
         sigma = np.linalg.svd(cand, compute_uv=False)
@@ -226,7 +224,7 @@ def similarity_to_transpose(w, rng: np.random.Generator | None = None) -> np.nda
             best = cand
         valid_found += 1
         # A handful of valid draws is enough to pick a well-conditioned one.
-        if valid_found >= 8 and draw >= 7:
+        if valid_found >= 8:
             break
     if best is None:
         raise SolverFailure(

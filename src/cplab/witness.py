@@ -34,7 +34,6 @@ from .errors import (
     NonFinite,
     NotOrthogonal,
     ShapeMismatch,
-    TraceConditionViolated,
     ZeroVector,
 )
 from .generator import GKSGenerator, _coeff_psd, superoperator_of
@@ -168,35 +167,6 @@ def overlap_rate(g: GKSGenerator, phi, psi) -> float:
     return float(np.vdot(phi_v, image @ phi_v).real)
 
 
-def overlap_rate_trace_form(coeff, basis: OperatorBasis, phi_matrix, psi_matrix) -> float:
-    """Trace-polynomial form of :func:`overlap_rate`.
-
-    Valid whenever ``Tr(Psi Phi^dagger) = 0`` (the matrix statement of the
-    orthogonality of the pair):
-
-        sum_ab c_ab [ Tr(Psi Phi^+ F_a) Tr(Phi Psi^+ F_b^+)
-                      + Tr((Phi^+ Psi)^T F_a) Tr((Psi^+ Phi)^T F_b^+) ]
-    """
-    c = np.asarray(coeff, dtype=complex)
-    phi_m = require_square(phi_matrix, "phi_matrix")
-    psi_m = require_square(psi_matrix, "psi_matrix")
-    if phi_m.shape != (basis.dim, basis.dim) or psi_m.shape != (basis.dim, basis.dim):
-        raise ShapeMismatch("coefficient matrices must match the basis dimension")
-    cross = complex(np.trace(psi_m @ phi_m.conj().T))
-    if abs(cross) > 1e-10 * max(1.0, fro_norm(phi_m) * fro_norm(psi_m)):
-        raise TraceConditionViolated(f"|Tr(Psi Phi^dagger)| = {abs(cross):.3e}, expected 0")
-    f = basis.elements
-    m1 = psi_m @ phi_m.conj().T
-    m2 = phi_m @ psi_m.conj().T
-    n1 = (phi_m.conj().T @ psi_m).T
-    n2 = (psi_m.conj().T @ phi_m).T
-    t1 = np.einsum("ij,aji->a", m1, f)
-    s1 = np.einsum("ij,bij->b", m2, f.conj())
-    t2 = np.einsum("ij,aji->a", n1, f)
-    s2 = np.einsum("ij,bij->b", n2, f.conj())
-    return float((t1 @ c @ s1 + t2 @ c @ s2).real)
-
-
 def direction_operator(w, basis: OperatorBasis) -> np.ndarray:
     """``W = 1/2 sum_a w_a F_a`` (coefficients enter unconjugated)."""
     w_arr = np.asarray(w, dtype=complex).reshape(-1)
@@ -215,7 +185,7 @@ def _candidate_from_direction(
     if phi_matrix is None:
         phi_m = similarity_to_transpose(w_op, rng=rng)
     else:
-        phi_m = require_square(phi_matrix, "phi_matrix")
+        phi_m = require_square(phi_matrix, "phi_matrix", g.dim)
     psi_dag = np.linalg.solve(phi_m, w_op)
     psi_m = psi_dag.conj().T
     phi_v = phi_m.reshape(-1)

@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from cplab import GKSGenerator, min_eigenvalue, standard_basis
-from cplab.linalg import eps_pos
+from cplab import GKSGenerator, OperatorBasis, min_eigenvalue, standard_basis
+from cplab.errors import TraceConditionViolated
+from cplab.linalg import eps_pos, fro_norm, require_square
 
 
 def random_hermitian(d, rng, scale=1.0):
@@ -97,3 +98,44 @@ def transpose_superop(d):
         for j in range(d):
             t[i + d * j, j + d * i] = 1.0
     return t.astype(complex)
+
+
+def apply_generator(g: GKSGenerator, rho) -> np.ndarray:
+    """Evaluate the generator on a state without building its matrix."""
+    arr = require_square(rho, "rho", g.dim)
+    h = g.hamiltonian
+    out = -1j * (h @ arr - arr @ h)
+    f = g.basis.elements
+    # sum_ab c_ab F_a rho F_b^dagger
+    out += np.einsum("ab,aij,jk,blk->il", g.coeff, f, arr, f.conj(), optimize=True)
+    # anticommutator part through G = sum_ab c_ab F_b^dagger F_a
+    gmat = np.einsum("ab,bki,akj->ij", g.coeff, f.conj(), f, optimize=True)
+    out -= 0.5 * (gmat @ arr + arr @ gmat)
+    return out
+
+
+def overlap_rate_trace_form(coeff, basis: OperatorBasis, phi_matrix, psi_matrix) -> float:
+    """Trace-polynomial form of :func:`cplab.overlap_rate`.
+
+    Valid whenever ``Tr(Psi Phi^dagger) = 0`` (the matrix statement of the
+    orthogonality of the pair):
+
+        sum_ab c_ab [ Tr(Psi Phi^+ F_a) Tr(Phi Psi^+ F_b^+)
+                      + Tr((Phi^+ Psi)^T F_a) Tr((Psi^+ Phi)^T F_b^+) ]
+    """
+    c = np.asarray(coeff, dtype=complex)
+    phi_m = require_square(phi_matrix, "phi_matrix", basis.dim)
+    psi_m = require_square(psi_matrix, "psi_matrix", basis.dim)
+    cross = complex(np.trace(psi_m @ phi_m.conj().T))
+    if abs(cross) > 1e-10 * max(1.0, fro_norm(phi_m) * fro_norm(psi_m)):
+        raise TraceConditionViolated(f"|Tr(Psi Phi^dagger)| = {abs(cross):.3e}, expected 0")
+    f = basis.elements
+    m1 = psi_m @ phi_m.conj().T
+    m2 = phi_m @ psi_m.conj().T
+    n1 = (phi_m.conj().T @ psi_m).T
+    n2 = (psi_m.conj().T @ phi_m).T
+    t1 = np.einsum("ij,aji->a", m1, f)
+    s1 = np.einsum("ij,bij->b", m2, f.conj())
+    t2 = np.einsum("ij,aji->a", n1, f)
+    s2 = np.einsum("ij,bij->b", n2, f.conj())
+    return float((t1 @ c @ s1 + t2 @ c @ s2).real)

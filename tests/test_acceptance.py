@@ -12,7 +12,6 @@ from cplab import (
     GKSGenerator,
     Superoperator,
     WitnessCandidate,
-    apply_generator,
     bell_phi_matrix,
     choi_matrix,
     construct_witness,
@@ -23,7 +22,6 @@ from cplab import (
     min_eigenvalue,
     negativity_scan,
     overlap_rate,
-    overlap_rate_trace_form,
     similarity_to_transpose,
     standard_basis,
     superoperator_of,
@@ -33,6 +31,8 @@ from cplab.linalg import fro_norm, matrix_exp
 from cplab.witness import DEFAULT_SCAN_GRID
 
 from helpers import (
+    apply_generator,
+    overlap_rate_trace_form,
     random_density,
     random_generator,
     random_hermitian,

@@ -673,6 +673,45 @@ CLI_ERROR_CASES = {
     "grid-unknown-spacing": (
         ["scan", *_NEG, "--grid", "1e-3:1:5:cubic"], None, None, None, "spacing must be"
     ),
+    "jump-op-3x3-at-d2": (
+        _CHECK,
+        {"dim": 2, "generator": {"jump_ops": [np.diag([1, -1, 0]).tolist()]}},
+        None,
+        None,
+        "generator.jump_ops[0]",
+    ),
+    "jump-ops-not-list": (
+        _CHECK, {"dim": 2, "generator": {"jump_ops": 5}}, None, None, "generator.jump_ops"
+    ),
+    "coeff-two-rows": (
+        _CHECK, {"dim": 2, "generator": {"coeff": np.eye(3)[:2].tolist()}}, None, None,
+        "generator.coeff",
+    ),
+    "coeff-ragged-row": (
+        _CHECK,
+        {"dim": 2, "generator": {"coeff": [[1, 0, 0], [0, 1], [0, 0, 1]]}},
+        None,
+        None,
+        "generator.coeff",
+    ),
+    "basis-not-list": (
+        _CHECK, {**_GKS2, "generator": {**_GKS2["generator"], "basis": {}}}, None, None,
+        "generator.basis",
+    ),
+    "state-matrix-ragged": (
+        ["evolve", *_NEG, "--time", "0.1", "--state", "{tmp}/s.json"],
+        None,
+        {"matrix": [[0.5, 0], [0]]},
+        None,
+        "state.matrix",
+    ),
+    "scan-psi-three-entries": (
+        ["scan", *_NEG, "--state", "{tmp}/s.json"],
+        None,
+        {"psi": [1, 0, 0], "phi": [0, 1, 0, 0]},
+        None,
+        "state.psi",
+    ),
 }
 
 

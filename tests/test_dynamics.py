@@ -11,7 +11,6 @@ from cplab import (
     NoNegativeDirection,
     NotApplicable,
     Superoperator,
-    apply_generator,
     choi_matrix,
     construct_witness,
     evolution_map,
@@ -35,6 +34,7 @@ from cplab.errors import (
 from cplab.linalg import POSITIVITY_TOL, fro_norm, matrix_exp, min_eigenvalue, unvec, vec
 
 from helpers import (
+    apply_generator,
     coeff_at_cutoff,
     random_density,
     random_generator,

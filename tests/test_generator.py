@@ -6,7 +6,6 @@ from cplab import (
     LindbladGenerator,
     OperatorBasis,
     Superoperator,
-    apply_generator,
     gks_to_lindblad,
     lindblad_to_gks,
     standard_basis,
@@ -22,7 +21,13 @@ from cplab.errors import (
 )
 from cplab.linalg import fro_norm
 
-from helpers import random_density, random_generator, random_hermitian, random_psd
+from helpers import (
+    apply_generator,
+    random_density,
+    random_generator,
+    random_hermitian,
+    random_psd,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)

@@ -5,7 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cplab import (
+    DensityMatrix,
+    GKSGenerator,
     LindbladGenerator,
+    Superoperator,
+    construct_witness,
     hermitian_eig,
     lindblad_to_gks,
     matrix_exp,
@@ -14,11 +18,17 @@ from cplab import (
     standard_basis,
     superoperator_of,
 )
-from cplab.errors import NegativeTime, NonFinite, NonHermitian, NonSquare
+from cplab.errors import NegativeTime, NonFinite, NonHermitian, NonSquare, ShapeMismatch
 from cplab.linalg import fro_norm, unvec, vec
 from cplab.witness import DEFAULT_SCAN_GRID
 
-from helpers import random_generator, random_hermitian, random_psd
+from helpers import (
+    apply_generator,
+    overlap_rate_trace_form,
+    random_generator,
+    random_hermitian,
+    random_psd,
+)
 
 #: Times at which the kernel is checked against scipy's expm.
 ORACLE_TIMES = tuple(sorted({0.0, 3.0, 10.0, *DEFAULT_SCAN_GRID}))
@@ -228,3 +238,36 @@ def test_vec_unvec_round_trip():
     np.testing.assert_array_equal(unvec(vec(m)), m)
     # Column stacking: the first d entries are the first column.
     np.testing.assert_array_equal(vec(m)[:3], m[:, 0])
+
+
+_B2 = standard_basis(2)
+_Z2 = np.zeros((2, 2))
+_G2 = GKSGenerator(2, _Z2, np.eye(3), _B2)
+_NEG2 = GKSGenerator(2, _Z2, np.diag([1.0, 1.0, -1.0]), _B2)
+
+#: name: (call passing the matrix under test to one entry point, its size at d = 2).
+SHAPE_CHECKED = {
+    "gks-hamiltonian": (lambda m: GKSGenerator(2, m, np.eye(3), _B2), 2),
+    "gks-coeff": (lambda m: GKSGenerator(2, _Z2, m, _B2), 3),
+    "lindblad-hamiltonian": (lambda m: LindbladGenerator(2, m), 2),
+    "lindblad-jump-op": (lambda m: LindbladGenerator(2, _Z2, (m,)), 2),
+    "superoperator-matrix": (lambda m: Superoperator(2, m), 4),
+    "superoperator-apply": (lambda m: Superoperator(2, np.eye(4)).apply(m), 2),
+    "apply-generator": (lambda m: apply_generator(_G2, m), 2),
+    "density-matrix": (lambda m: DensityMatrix(2, m), 2),
+    "expansion-coefficients": (lambda m: _B2.expansion_coefficients(m), 2),
+    "overlap-rate-trace-form": (lambda m: overlap_rate_trace_form(np.eye(3), _B2, m, m), 2),
+    "witness-phi-matrix": (lambda m: construct_witness(_NEG2, phi_matrix=m), 2),
+}
+
+
+@pytest.mark.parametrize("call, n", SHAPE_CHECKED.values(), ids=SHAPE_CHECKED.keys())
+def test_matrix_shape_checks(call, n):
+    """A square input of the wrong size raises ShapeMismatch; a non-square one raises
+    NonSquare, which callers catching ShapeMismatch also catch."""
+    with pytest.raises(ShapeMismatch) as wrong_size:
+        call(np.zeros((n + 1, n + 1)))
+    assert not isinstance(wrong_size.value, NonSquare)
+    with pytest.raises(ShapeMismatch) as not_square:
+        call(np.zeros((n, n + 1)))
+    assert isinstance(not_square.value, NonSquare)

@@ -14,7 +14,6 @@ from cplab import (
     direction_operator,
     negativity_scan,
     overlap_rate,
-    overlap_rate_trace_form,
     similarity_to_transpose,
     standard_basis,
     symmetric_case_witness,
@@ -30,6 +29,7 @@ from cplab.errors import (
 from cplab.generator import _generator_matrix
 
 from helpers import (
+    overlap_rate_trace_form,
     random_generator,
     random_hermitian,
     random_psd,
