@@ -1,7 +1,7 @@
 """Complete-positivity lab: semigroup generators, CP certification and
 entangled witness construction for the doubled dynamics."""
 
-from .basis import BasisReport, OperatorBasis, standard_basis, validate_basis
+from .basis import OperatorBasis, standard_basis
 from .dynamics import (
     CPVerdict,
     DensityMatrix,
@@ -40,7 +40,6 @@ from .witness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisReport",
     "CPVerdict",
     "DensityMatrix",
     "GKSGenerator",
@@ -69,6 +68,5 @@ __all__ = [
     "superoperator_of",
     "symmetric_case_witness",
     "tensor_extension",
-    "validate_basis",
     "__version__",
 ]

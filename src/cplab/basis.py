@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimension, ShapeMismatch
+from .errors import InvalidDimension, NonFinite, ShapeMismatch
 from .linalg import require_square
 
-#: Trace / Gram deviations beyond this fail validation.
+#: Trace / Gram deviations beyond this make :class:`OperatorBasis` refuse the elements.
 BASIS_TOL = 1e-10
 
 
@@ -31,21 +31,26 @@ class OperatorBasis:
     elements: np.ndarray
 
     def __post_init__(self):
+        if self.dim < 2:
+            raise InvalidDimension(f"operator basis needs d >= 2, got {self.dim}")
         elems = np.asarray(self.elements, dtype=complex)
-        expected = self.dim * self.dim - 1
-        if elems.shape != (expected, self.dim, self.dim):
+        n = self.dim * self.dim - 1
+        if elems.shape != (n, self.dim, self.dim):
             raise ShapeMismatch(
-                f"basis for d={self.dim} needs shape ({expected}, {self.dim}, {self.dim}),"
+                f"basis for d={self.dim} needs shape ({n}, {self.dim}, {self.dim}),"
                 f" got {elems.shape}"
             )
-        object.__setattr__(self, "elements", elems)
-        report = validate_basis(self)
-        if not report.passed:
+        if not np.all(np.isfinite(elems)):
+            raise NonFinite("basis elements contain non-finite entries")
+        flat = elems.reshape(n, -1)
+        max_trace = np.max(np.abs(np.einsum("aii->a", elems)))
+        max_gram = np.max(np.abs(flat.conj() @ flat.T - np.eye(n)))
+        if max(max_trace, max_gram) > BASIS_TOL:
             raise ShapeMismatch(
                 "basis violates orthonormality/tracelessness: "
-                f"max trace deviation {report.max_trace_deviation:.3e}, "
-                f"max Gram deviation {report.max_gram_deviation:.3e}"
+                f"max trace deviation {max_trace:.3e}, max Gram deviation {max_gram:.3e}"
             )
+        object.__setattr__(self, "elements", elems)
 
     @property
     def size(self) -> int:
@@ -61,15 +66,6 @@ class OperatorBasis:
         out = np.tensordot(np.asarray(coefficients, dtype=complex), self.elements, axes=1)
         out += (trace / self.dim) * np.eye(self.dim)
         return out
-
-
-@dataclass(frozen=True)
-class BasisReport:
-    """Diagnostics from :func:`validate_basis`."""
-
-    max_trace_deviation: float
-    max_gram_deviation: float
-    passed: bool
 
 
 def standard_basis(d: int) -> OperatorBasis:
@@ -98,26 +94,3 @@ def standard_basis(d: int) -> OperatorBasis:
         diag[level, level] = -level
         elements.append(diag / np.sqrt(level * (level + 1)))
     return OperatorBasis(dim=d, elements=np.stack(elements))
-
-
-def validate_basis(basis: OperatorBasis | np.ndarray, dim: int | None = None) -> BasisReport:
-    """Report the worst trace and Gram-matrix deviations of a basis stack."""
-    if isinstance(basis, OperatorBasis):
-        elems, dim = basis.elements, basis.dim
-    else:
-        elems = np.asarray(basis, dtype=complex)
-        if elems.ndim != 3 or elems.shape[1] != elems.shape[2]:
-            raise ShapeMismatch(f"expected a stack of square matrices, got shape {elems.shape}")
-        if dim is not None and elems.shape[1] != dim:
-            raise ShapeMismatch(f"elements are {elems.shape[1]}x{elems.shape[2]}, expected d={dim}")
-    traces = np.einsum("aii->a", elems)
-    n, d = elems.shape[:2]
-    flat = elems.reshape(n, d * d)
-    gram = flat.conj() @ flat.T
-    max_trace = float(np.max(np.abs(traces))) if traces.size else 0.0
-    max_gram = float(np.max(np.abs(gram - np.eye(n)))) if traces.size else 0.0
-    return BasisReport(
-        max_trace_deviation=max_trace,
-        max_gram_deviation=max_gram,
-        passed=max_trace <= BASIS_TOL and max_gram <= BASIS_TOL,
-    )

@@ -206,24 +206,21 @@ def _resolve_tolerance(cli_tol, config_tol) -> float:
 
 def load_config(args) -> ProblemConfig:
     """Read, validate and normalize the problem configuration."""
-    raw = {} if args.config is None else _read_json(args.config, "config")
-
+    if args.config is None:
+        raise ConfigError("--config is required")
+    raw = _read_json(args.config, "config")
+    gen = raw.get("generator")
+    if not isinstance(gen, dict):
+        raise ConfigError("config: missing object field 'generator'")
     preset_state = None
     if args.preset is not None:
-        if args.preset != "meson-d2":
-            raise ConfigError(f"unknown preset {args.preset!r}")
-        raw.setdefault("dim", 2)
-        if raw["dim"] != 2:
+        # meson-d2 fills in dim = 2 and a zero Hamiltonian and starts from the Bell singlet.
+        if raw.setdefault("dim", 2) != 2:
             raise ConfigError("preset meson-d2 requires dim = 2")
-        gen = raw.setdefault("generator", {})
-        if not isinstance(gen, dict):
-            raise ConfigError("generator: expected a JSON object")
-        gen.setdefault("hamiltonian", [[0.0, 0.0], [0.0, 0.0]])
         if "coeff" not in gen:
             raise ConfigError("preset meson-d2 needs the user-supplied generator.coeff matrix")
+        gen.setdefault("hamiltonian", [[0.0, 0.0], [0.0, 0.0]])
         preset_state = DensityMatrix.from_pure(bell_phi_matrix().reshape(-1))
-    elif args.config is None:
-        raise ConfigError("--config is required (or use --preset)")
 
     if "dim" not in raw:
         raise ConfigError("config: missing field 'dim'")
@@ -231,9 +228,6 @@ def load_config(args) -> ProblemConfig:
     if not isinstance(dim, int) or dim < 2:
         raise ConfigError(f"dim: expected an integer >= 2, got {dim!r}")
 
-    gen = raw.get("generator")
-    if not isinstance(gen, dict):
-        raise ConfigError("config: missing object field 'generator'")
     has_coeff = "coeff" in gen
     has_jumps = "jump_ops" in gen
     if has_coeff == has_jumps:
@@ -242,26 +236,25 @@ def load_config(args) -> ProblemConfig:
     if form not in ("gks", "lindblad") or (form == "gks") != has_coeff:
         raise ConfigError(f"generator.form {form!r} does not match the supplied fields")
 
-    if gen.get("hamiltonian") is None:
-        hamiltonian = np.zeros((dim, dim), dtype=complex)
-    else:
-        hamiltonian = _array_from_json(gen["hamiltonian"], "generator.hamiltonian", (dim, dim))
-
-    if gen.get("basis") is None:
-        basis = standard_basis(dim)
-    else:
-        elems = _array_from_json(gen["basis"], "generator.basis", (None, dim, dim))
-        with _naming("generator.basis"):
-            basis = OperatorBasis(dim=dim, elements=elems)
+    # Every array is shape-checked before the d^2 - 1 basis matrices are built;
+    # a null hamiltonian or basis means the default, a null coeff or jump_ops is refused.
+    n, stack = dim * dim - 1, (None, dim, dim)
+    shapes = {"hamiltonian": (dim, dim), "coeff": (n, n), "jump_ops": stack, "basis": stack}
+    arrays = {
+        field: _array_from_json(gen[field], f"generator.{field}", shape)
+        for field, shape in shapes.items()
+        if gen.get(field) is not None or field == ("coeff" if has_coeff else "jump_ops")
+    }
+    hamiltonian = arrays.get("hamiltonian", np.zeros((dim, dim), dtype=complex))
+    with _naming("generator.basis"):
+        basis = OperatorBasis(dim, arrays["basis"]) if "basis" in arrays else standard_basis(dim)
 
     with _naming("generator"):
         if form == "gks":
-            n = dim * dim - 1
-            coeff = _array_from_json(gen["coeff"], "generator.coeff", (n, n))
-            gks = GKSGenerator(dim=dim, hamiltonian=hamiltonian, coeff=coeff, basis=basis)
+            gks = GKSGenerator(dim=dim, hamiltonian=hamiltonian, coeff=arrays["coeff"], basis=basis)
         else:
-            jumps = _array_from_json(gen["jump_ops"], "generator.jump_ops", (None, dim, dim))
-            lindblad = LindbladGenerator(dim=dim, hamiltonian=hamiltonian, jump_ops=tuple(jumps))
+            jumps = tuple(arrays["jump_ops"])
+            lindblad = LindbladGenerator(dim=dim, hamiltonian=hamiltonian, jump_ops=jumps)
             gks = lindblad_to_gks(lindblad, basis)
 
     tolerances = raw.get("tolerances", {})
@@ -485,7 +478,7 @@ def _add_common(sub: argparse.ArgumentParser, grid: bool = False):
     sub.add_argument("--tol", type=float, help="positivity tolerance override")
     sub.add_argument("--seed", type=int, help="RNG seed override")
     sub.add_argument("--output", help="report destination (default stdout)")
-    sub.add_argument("--preset", choices=["meson-d2"], help="built-in demo configuration")
+    sub.add_argument("--preset", choices=["meson-d2"], help="fill in the d=2 demo frame of --config")
     if grid:
         sub.add_argument("--grid", help="time grid as 'start:stop:points:log|lin'")
 

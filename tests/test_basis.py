@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cplab import OperatorBasis, standard_basis, validate_basis
-from cplab.errors import InvalidDimension, ShapeMismatch
+from cplab import OperatorBasis, standard_basis
+from cplab.errors import InvalidDimension, NonFinite, ShapeMismatch
 
 from helpers import random_hermitian
 
@@ -43,31 +43,42 @@ def test_invalid_dimension():
 
 
 class TestValidateBasis:
+    """``OperatorBasis`` is the one check on a basis stack."""
+
     def test_standard_passes(self):
-        report = validate_basis(standard_basis(2))
-        assert report.passed
-        assert report.max_trace_deviation <= 1e-15
-        assert report.max_gram_deviation <= 1e-15
+        elements = standard_basis(2).elements
+        assert np.max(np.abs(np.einsum("aii->a", elements))) <= 1e-15
+        assert np.max(np.abs(_gram(elements) - np.eye(3))) <= 1e-15
 
     def test_doubled_element_fails(self):
         elements = standard_basis(2).elements.copy()
         elements[0] *= 2.0
         # Tr((2F)^dagger (2F)) = 4, so the Gram deviation is 3.
-        report = validate_basis(elements)
-        assert not report.passed
-        assert report.max_gram_deviation == pytest.approx(3.0, abs=1e-12)
+        with pytest.raises(ShapeMismatch, match=r"max Gram deviation 3\.000e\+00"):
+            OperatorBasis(dim=2, elements=elements)
 
     def test_identity_element_fails_trace(self):
         d = 3
         elements = standard_basis(d).elements.copy()
         elements[0] = np.eye(d) / np.sqrt(d)
-        report = validate_basis(elements)
-        assert not report.passed
-        assert report.max_trace_deviation == pytest.approx(np.sqrt(d), abs=1e-12)
+        # Tr(I / sqrt(3)) = sqrt(3).
+        with pytest.raises(ShapeMismatch, match=r"max trace deviation 1\.732e\+00"):
+            OperatorBasis(dim=d, elements=elements)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            validate_basis(np.zeros((3, 2, 3)))
+            OperatorBasis(dim=2, elements=np.zeros((3, 2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_element(self, bad):
+        elements = standard_basis(2).elements.copy()
+        elements[0, 0, 1] = bad
+        with pytest.raises(NonFinite):
+            OperatorBasis(dim=2, elements=elements)
+
+    def test_dimension_one(self):
+        with pytest.raises(InvalidDimension):
+            OperatorBasis(dim=1, elements=np.zeros((0, 1, 1)))
 
 
 class TestOperatorBasis:

@@ -712,6 +712,17 @@ CLI_ERROR_CASES = {
         None,
         "state.psi",
     ),
+    "preset-without-config": (
+        ["check-cp", "--preset", "meson-d2"], None, None, None, "--config is required"
+    ),
+    "preset-dim-3": (
+        [*_CHECK, "--preset", "meson-d2"],
+        {"dim": 3, "generator": {"coeff": np.eye(8).tolist()}},
+        None,
+        None,
+        "dim = 2",
+    ),
+    "coeff-null": (_CHECK, {"dim": 2, "generator": {"coeff": None}}, None, None, "generator.coeff"),
 }
 
 
@@ -728,6 +739,19 @@ def test_cli_error_paths(argv, config, state, env, message, tmp_path, monkeypatc
         monkeypatch.setenv("CPLAB_TOL", env)
     err = _assert_typed_error([a.format(tmp=tmp_path, data=DATA) for a in argv], capsys)
     assert message in err
+
+
+def test_coeff_is_shape_checked_before_the_basis_is_built(tmp_path, monkeypatch, capsys):
+    """A wrong-sized coeff at large d is refused without building the d^2 - 1 basis matrices."""
+
+    def no_basis(d):
+        pytest.fail(f"standard_basis({d}) was built for a config that the reader refuses")
+
+    monkeypatch.setattr("cplab.cli.standard_basis", no_basis)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"dim": 40, "generator": {"coeff": [[1]]}}))
+    err = _assert_typed_error(["check-cp", "--config", str(cfg)], capsys)
+    assert "generator.coeff: expected 1599 rows" in err
 
 
 def test_cli_import_loads_no_scipy():
