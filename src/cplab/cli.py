@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +50,7 @@ from .linalg import POSITIVITY_TOL, eps_pos, hermiticity_deviation
 from .witness import (
     NoNegativeDirection,
     WitnessCandidate,
+    _require_grid,
     bell_phi_matrix,
     construct_witness,
     negativity_scan,
@@ -156,7 +157,6 @@ class ProblemConfig:
     tolerance: float
     seed: int
     grid: tuple | None
-    initial_state: DensityMatrix | None
     echo: dict
 
 
@@ -212,15 +212,13 @@ def load_config(args) -> ProblemConfig:
     gen = raw.get("generator")
     if not isinstance(gen, dict):
         raise ConfigError("config: missing object field 'generator'")
-    preset_state = None
     if args.preset is not None:
-        # meson-d2 fills in dim = 2 and a zero Hamiltonian and starts from the Bell singlet.
+        # meson-d2 fills in dim = 2 and a zero Hamiltonian; evolve starts from the Bell singlet.
         if raw.setdefault("dim", 2) != 2:
             raise ConfigError("preset meson-d2 requires dim = 2")
         if "coeff" not in gen:
             raise ConfigError("preset meson-d2 needs the user-supplied generator.coeff matrix")
         gen.setdefault("hamiltonian", [[0.0, 0.0], [0.0, 0.0]])
-        preset_state = DensityMatrix.from_pure(bell_phi_matrix().reshape(-1))
 
     if "dim" not in raw:
         raise ConfigError("config: missing field 'dim'")
@@ -273,6 +271,8 @@ def load_config(args) -> ProblemConfig:
         if not isinstance(raw["grid"], list):
             raise ConfigError("grid: expected a list of times")
         grid = tuple(_real_from_json(t, f"grid[{i}]") for i, t in enumerate(raw["grid"]))
+        with _naming("grid"):
+            _require_grid(grid)
 
     return ProblemConfig(
         form=form,
@@ -280,7 +280,6 @@ def load_config(args) -> ProblemConfig:
         tolerance=tolerance,
         seed=seed,
         grid=grid,
-        initial_state=preset_state,
         echo=raw,
     )
 
@@ -373,15 +372,15 @@ def _verdict_report(
     return report, EXIT_OK if verdict.is_cp else EXIT_NOT_CP
 
 
-def cmd_check_cp(config: ProblemConfig) -> tuple[dict, int]:
+def cmd_check_cp(config: ProblemConfig, args) -> tuple[dict, int]:
     return _verdict_report(config, "check-cp", with_scan=False)
 
 
-def cmd_witness(config: ProblemConfig, bell_fixture: bool = False) -> tuple[dict, int]:
-    return _verdict_report(config, "witness", with_scan=True, bell_fixture=bell_fixture)
+def cmd_witness(config: ProblemConfig, args) -> tuple[dict, int]:
+    return _verdict_report(config, "witness", with_scan=True, bell_fixture=args.bell_fixture)
 
 
-def cmd_convert(config: ProblemConfig) -> tuple[dict, int]:
+def cmd_convert(config: ProblemConfig, args) -> tuple[dict, int]:
     if config.form == "gks":
         converted = gks_to_lindblad(config.gks, tol=config.tolerance)
         payload = {
@@ -398,10 +397,10 @@ def cmd_convert(config: ProblemConfig) -> tuple[dict, int]:
     return _report(config, "convert", generator={"dim": config.gks.dim, **payload}), EXIT_OK
 
 
-def _load_state(path: str | None, config: ProblemConfig) -> DensityMatrix:
+def _load_state(path: str | None, preset: str | None) -> DensityMatrix:
     if path is None:
-        if config.initial_state is not None:
-            return config.initial_state
+        if preset is not None:
+            return DensityMatrix.from_pure(bell_phi_matrix().reshape(-1))
         raise ConfigError("state: no state supplied and the preset provides none")
     raw = _read_json(path, "state")
     with _naming("state"):
@@ -413,13 +412,13 @@ def _load_state(path: str | None, config: ProblemConfig) -> DensityMatrix:
     raise ConfigError("state: needs a 'matrix' or 'vector' field")
 
 
-def cmd_evolve(config: ProblemConfig, state: DensityMatrix, t: float) -> tuple[dict, int]:
-    d = config.gks.dim
+def cmd_evolve(config: ProblemConfig, args) -> tuple[dict, int]:
+    state, d = _load_state(args.state, args.preset), config.gks.dim
     if state.dim == d:
-        evolved = evolution_map(config.gks, t).apply(state.matrix)
+        evolved = evolution_map(config.gks, args.time).apply(state.matrix)
         mode = "single"
     elif state.dim == d * d:
-        evolved = doubled_evolution(config.gks, state.matrix, (t,))[0]
+        evolved = doubled_evolution(config.gks, state.matrix, (args.time,))[0]
         mode = "extended"
     else:
         raise DimensionMismatch(
@@ -431,7 +430,7 @@ def cmd_evolve(config: ProblemConfig, state: DensityMatrix, t: float) -> tuple[d
     report = _report(
         config,
         "evolve",
-        time=t,
+        time=args.time,
         mode=mode,
         state=_to_json(evolved),
         trace=_to_json(np.trace(evolved)),
@@ -451,11 +450,11 @@ def _load_pair(path: str, dim_sq: int) -> tuple[np.ndarray, np.ndarray]:
     return psi, phi
 
 
-def cmd_scan(config: ProblemConfig, state_path: str | None) -> tuple[dict, int]:
-    if state_path is None:
+def cmd_scan(config: ProblemConfig, args) -> tuple[dict, int]:
+    if args.state is None:
         sections = _witness_sections(config)
     else:
-        psi, phi = _load_pair(state_path, config.gks.dim**2)
+        psi, phi = _load_pair(args.state, config.gks.dim**2)
         sections = {"scan": _scan_section(config, psi, phi)}
     negative = "scan" in sections and sections["scan"]["first_negative_time"] is not None
     return _report(config, "scan", **sections), EXIT_NOT_CP if negative else EXIT_OK
@@ -510,29 +509,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(report: dict, output: str | None):
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
+    try:
+        with nullcontext(sys.stdout) if output is None else open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise CplabError(f"cannot write report: {exc}") from None
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # Built per call: bench/tracer.py swaps the module's cmd_* bindings for timing wrappers.
+    commands = {
+        "check-cp": cmd_check_cp,
+        "witness": cmd_witness,
+        "convert": cmd_convert,
+        "evolve": cmd_evolve,
+        "scan": cmd_scan,
+    }
     try:
         args = parser.parse_args(argv)
         config = load_config(args)
-        if args.subcommand == "check-cp":
-            report, code = cmd_check_cp(config)
-        elif args.subcommand == "witness":
-            report, code = cmd_witness(config, bell_fixture=args.bell_fixture)
-        elif args.subcommand == "convert":
-            report, code = cmd_convert(config)
-        elif args.subcommand == "evolve":
-            state = _load_state(args.state, config)
-            report, code = cmd_evolve(config, state, args.time)
-        else:
-            report, code = cmd_scan(config, args.state)
+        report, code = commands[args.subcommand](config, args)
+        _emit(report, args.output)
     except NotCompletelyPositive as exc:
         sys.stderr.write(f"cplab: conversion refused: {exc}\n")
         return EXIT_NOT_CP
@@ -542,7 +540,6 @@ def main(argv=None) -> int:
     except CplabError as exc:
         sys.stderr.write(f"cplab: error: {exc}\n")
         return EXIT_ERROR
-    _emit(report, args.output)
     return code
 
 

@@ -65,10 +65,6 @@ class ZeroVector(CplabError):
     """A nonzero vector was required."""
 
 
-class TraceConditionViolated(CplabError):
-    """Tr(Psi Phi^dagger) = 0 precondition failed."""
-
-
 class InvalidGrid(CplabError):
     """Time grid must be nonempty, finite, nonnegative and strictly increasing."""
 

@@ -106,20 +106,12 @@ class NotApplicable:
 
 @dataclass(frozen=True)
 class NegativityScan:
-    """Evolution of the witness state over a time grid."""
+    """Evolution of the witness state over a time grid, as built by :func:`negativity_scan`."""
 
     times: np.ndarray
     min_eigenvalues: np.ndarray
     overlap_values: np.ndarray
     first_negative_time: float | None
-
-    def __post_init__(self):
-        t = _require_grid(self.times)
-        if not (t.size == len(self.min_eigenvalues) == len(self.overlap_values)):
-            raise InvalidGrid("scan arrays must share a length")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "min_eigenvalues", np.asarray(self.min_eigenvalues, dtype=float))
-        object.__setattr__(self, "overlap_values", np.asarray(self.overlap_values, dtype=float))
 
 
 def _require_grid(times) -> np.ndarray:
@@ -278,9 +270,7 @@ def negativity_scan(
     overlap values unnormalized.  ``first_negative_time`` is the earliest
     grid time whose evolved state has an eigenvalue below ``-eps_pos``.
     """
-    if t_grid is None:
-        t_grid = DEFAULT_SCAN_GRID
-    times = _require_grid(t_grid)
+    times = _require_grid(DEFAULT_SCAN_GRID if t_grid is None else t_grid)
     phi_v, psi_v = _pair_vectors(phi, psi, g.dim * g.dim)
     psi_v = psi_v / np.linalg.norm(psi_v)
     states = doubled_evolution(g, np.outer(psi_v, psi_v.conj()), times)

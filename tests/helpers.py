@@ -3,8 +3,12 @@
 import numpy as np
 
 from cplab import GKSGenerator, OperatorBasis, min_eigenvalue, standard_basis
-from cplab.errors import TraceConditionViolated
+from cplab.errors import CplabError
 from cplab.linalg import eps_pos, fro_norm, require_square
+
+
+class TraceConditionViolated(CplabError):
+    """Tr(Psi Phi^dagger) = 0 precondition of :func:`overlap_rate_trace_form` failed."""
 
 
 def random_hermitian(d, rng, scale=1.0):

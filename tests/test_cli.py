@@ -623,8 +623,10 @@ class TestOnePsdDecision:
 
 
 _GKS2 = {"dim": 2, "generator": {"coeff": np.eye(3).tolist()}}
+_GKS2_NEG = {"dim": 2, "generator": {"coeff": np.diag([1.0, 1.0, -1.0]).tolist()}}
 _CHECK = ["check-cp", "--config", "{tmp}/c.json"]
 _NEG = ["--config", "{data}/config_negative.json"]
+_EVOLVE = ["evolve", *_NEG, "--time", "0.1"]
 
 #: name: (argv, config written to {tmp}/c.json, state written to {tmp}/s.json,
 #: CPLAB_TOL, a fragment of the error line); a str config is written verbatim.
@@ -723,6 +725,69 @@ CLI_ERROR_CASES = {
         "dim = 2",
     ),
     "coeff-null": (_CHECK, {"dim": 2, "generator": {"coeff": None}}, None, None, "generator.coeff"),
+    "coeff-leaf-string": (
+        _CHECK,
+        {"dim": 2, "generator": {"coeff": [[1, "a", 0], [0, 1, 0], [0, 0, 1]]}},
+        None,
+        None,
+        "generator.coeff[0][1]: entry 'a' is not a number or [re, im] pair",
+    ),
+    "coeff-leaf-triple": (
+        _CHECK,
+        {"dim": 2, "generator": {"coeff": [[1, [1, 2, 3], 0], [0, 1, 0], [0, 0, 1]]}},
+        None,
+        None,
+        "generator.coeff[0][1]: entry [1, 2, 3] is not a number or [re, im] pair",
+    ),
+    "state-vector-empty": (
+        [*_EVOLVE, "--state", "{tmp}/s.json"],
+        None,
+        {"vector": []},
+        None,
+        "state.vector: expected a nonempty list of entries",
+    ),
+    "state-matrix-empty": (
+        [*_EVOLVE, "--state", "{tmp}/s.json"],
+        None,
+        {"matrix": []},
+        None,
+        "state.matrix: expected a nonempty list of rows",
+    ),
+    "evolve-without-state-or-preset": (
+        _EVOLVE, None, None, None, "no state supplied and the preset provides none"
+    ),
+    "grid-decreasing": (
+        ["scan", "--config", "{tmp}/c.json"],
+        {**_GKS2_NEG, "grid": [0.5, 0.1]},
+        None,
+        None,
+        "grid: time grid must be",
+    ),
+    "grid-decreasing-cp": (
+        ["scan", "--config", "{tmp}/c.json"],
+        {**_GKS2, "grid": [0.5, 0.1]},
+        None,
+        None,
+        "grid: time grid must be",
+    ),
+    "grid-empty": (
+        ["witness", "--config", "{tmp}/c.json"],
+        {**_GKS2_NEG, "grid": []},
+        None,
+        None,
+        "grid: time grid must be",
+    ),
+    # config_negative.json is non-CP, so a report that was written would exit 2.
+    "output-is-a-directory": (
+        ["check-cp", *_NEG, "--output", "{tmp}"], None, None, None, "cannot write report"
+    ),
+    "output-in-missing-directory": (
+        ["witness", *_NEG, "--output", "{tmp}/missing/r.json"],
+        None,
+        None,
+        None,
+        "cannot write report",
+    ),
 }
 
 

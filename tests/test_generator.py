@@ -133,6 +133,8 @@ class TestGeneratorValidation:
             GKSGenerator(
                 dim=3, hamiltonian=np.zeros((3, 3)), coeff=np.zeros((8, 8)), basis=standard_basis(2)
             )
+        with pytest.raises(ShapeMismatch):
+            lindblad_to_gks(LindbladGenerator(dim=2, hamiltonian=np.zeros((2, 2))), standard_basis(3))
 
     def test_rejects_traced_jump(self):
         with pytest.raises(NonTracelessJump):

@@ -18,7 +18,14 @@ from cplab import (
     standard_basis,
     superoperator_of,
 )
-from cplab.errors import NegativeTime, NonFinite, NonHermitian, NonSquare, ShapeMismatch
+from cplab.errors import (
+    NegativeTime,
+    NonFinite,
+    NonHermitian,
+    NonSquare,
+    ShapeMismatch,
+    SolverFailure,
+)
 from cplab.linalg import fro_norm, unvec, vec
 from cplab.witness import DEFAULT_SCAN_GRID
 
@@ -231,6 +238,12 @@ class TestSimilarityToTranspose:
         with pytest.raises(NonSquare):
             similarity_to_transpose(np.zeros((2, 3)))
 
+    def test_retry_budget_exhausted(self, monkeypatch):
+        # No candidate's sigma_min / sigma_max can exceed 1, so every draw is refused.
+        monkeypatch.setattr("cplab.linalg._CONDITION_FLOOR", 1.0)
+        with pytest.raises(SolverFailure):
+            similarity_to_transpose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
 
 def test_vec_unvec_round_trip():
     rng = np.random.default_rng(41)
@@ -238,6 +251,8 @@ def test_vec_unvec_round_trip():
     np.testing.assert_array_equal(unvec(vec(m)), m)
     # Column stacking: the first d entries are the first column.
     np.testing.assert_array_equal(vec(m)[:3], m[:, 0])
+    with pytest.raises(NonSquare):
+        unvec(np.zeros(5))
 
 
 _B2 = standard_basis(2)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -20,15 +22,17 @@ from cplab import (
     tensor_extension,
 )
 from cplab.errors import (
+    InconsistentVerdict,
     InvalidGrid,
     NonFinite,
     NotOrthogonal,
-    TraceConditionViolated,
+    ShapeMismatch,
     ZeroVector,
 )
 from cplab.generator import _generator_matrix
 
 from helpers import (
+    TraceConditionViolated,
     overlap_rate_trace_form,
     random_generator,
     random_hermitian,
@@ -95,6 +99,16 @@ class TestOverlapRate:
         with pytest.raises(ZeroVector):
             overlap_rate(g, np.ones(4), np.zeros(4))
 
+    def test_rejects_wrong_length(self):
+        g = _neg_generator()
+        v = np.array([1.0, 0.0, 0.0])
+        with pytest.raises(ShapeMismatch):
+            direction_operator(np.ones(4), g.basis)
+        with pytest.raises(ShapeMismatch):
+            overlap_rate(g, v, np.array([0.0, 1.0, 0.0, 0.0]))
+        with pytest.raises(ShapeMismatch):
+            negativity_scan(g, np.array([0.0, 1.0, 0.0, 0.0]), v)
+
     def test_rejects_non_finite_vectors(self):
         g = _neg_generator()
         psi = np.array([0.0, 1.0, -1.0, 0.0])
@@ -150,6 +164,19 @@ class TestConstructWitness:
         assert candidate.quadratic_form == pytest.approx(-1.0)
         # Measured proportionality: the rate is exactly half the quadratic form.
         assert candidate.value == pytest.approx(0.5 * candidate.quadratic_form, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "field, tamper",
+        [
+            ("transpose_sign", lambda c: -c.transpose_sign),
+            ("value", lambda c: -c.value),
+            ("direction_operator", lambda c: 2.0 * c.direction_operator),
+        ],
+    )
+    def test_tampered_candidate_rejected(self, field, tamper):
+        candidate = construct_witness(_neg_generator(), rng=np.random.default_rng(4))
+        with pytest.raises(InconsistentVerdict):
+            dataclasses.replace(candidate, **{field: tamper(candidate)})
 
     def test_psd_coeff_gives_no_direction(self):
         rng = np.random.default_rng(5)
