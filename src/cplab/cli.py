@@ -266,12 +266,15 @@ def load_config(args) -> ProblemConfig:
 
     grid = None
     if getattr(args, "grid", None) is not None:
-        grid = _parse_grid_spec(args.grid)
+        grid, source = _parse_grid_spec(args.grid), "--grid"
     elif raw.get("grid") is not None:
         if not isinstance(raw["grid"], list):
             raise ConfigError("grid: expected a list of times")
         grid = tuple(_real_from_json(t, f"grid[{i}]") for i, t in enumerate(raw["grid"]))
-        with _naming("grid"):
+        source = "grid"
+    if grid is not None:
+        # A spec can pass _parse_grid_spec and still collapse in floating point.
+        with _naming(source):
             _require_grid(grid)
 
     return ProblemConfig(

@@ -160,7 +160,9 @@ def _generator_matrix(h: np.ndarray, coeff: np.ndarray, ops: np.ndarray) -> np.n
     jumps = ops_bar.reshape(n, d * d).T @ x.reshape(n, d * d)
     out = jumps.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     eye = np.eye(d)
-    out += np.kron(eye, k) + np.kron(k.conj(), eye)
+    # I kron K + conj(K) kron I by broadcasting: exact 0/1 products, bitwise equal to np.kron.
+    out += (eye[:, None, :, None] * k[None, :, None, :]
+            + k.conj()[:, None, :, None] * eye[None, :, None, :]).reshape(d * d, d * d)
     return out
 
 

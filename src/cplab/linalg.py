@@ -170,7 +170,9 @@ def _transpose_commutant_basis(w: np.ndarray) -> np.ndarray:
     """
     d = w.shape[0]
     eye = np.eye(d)
-    system = np.kron(eye, w) - np.kron(w, eye)
+    # Broadcast products with exact 0/1 entries: bitwise equal to the kron forms.
+    system = (eye[:, None, :, None] * w[None, :, None, :]
+              - w[:, None, :, None] * eye[None, :, None, :]).reshape(d * d, d * d)
     _, sing, vh = np.linalg.svd(system)
     null_rows = vh[sing <= max(sing[0], 1.0) * 1e-12]
     if null_rows.size == 0:
@@ -187,6 +189,11 @@ def similarity_to_transpose(w, rng: np.random.Generator | None = None) -> np.nda
     solver samples up to 64 combinations and keeps the best-conditioned
     candidate whose ``sigma_min / sigma_max`` exceeds 1e-10 and whose
     residual satisfies ``||P^{-1} W P - W^T||_F <= SIMILARITY_TOL * max(1, ||W||_F)``.
+    Draws come in batches of ``min(8 - valid, 64 - drawn)``, each tested
+    with one stacked SVD, solve and norm, so the solver stops after the
+    eighth valid draw, or after 64 draws, exactly as a one-at-a-time loop
+    would: ``rng`` is consumed identically, and of the first eight valid
+    draws the first with the largest ``sigma_min / sigma_max`` wins.
     The candidate is returned scaled to spectral norm 1.
     """
     w_arr = require_square(w, "W")
@@ -197,40 +204,39 @@ def similarity_to_transpose(w, rng: np.random.Generator | None = None) -> np.nda
     scale = max(1.0, fro_norm(w_arr))
     basis = _transpose_commutant_basis(w_arr)
     k = basis.shape[0]
+    flat = basis.reshape(k, d * d)
     if rng is None:
         rng = np.random.default_rng(DEFAULT_SEED)
 
-    target = w_arr.T
-    best: np.ndarray | None = None
-    best_sigma_min = 0.0
-    valid_found = 0
-    for _ in range(64):
-        coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        cand = np.tensordot(coeff, basis, axes=1)
+    valid: list[np.ndarray] = []
+    ratios: list[float] = []
+    drawn = 0
+    # A handful of valid draws is enough to pick a well-conditioned one.
+    while len(valid) < 8 and drawn < 64:
+        n = min(8 - len(valid), 64 - drawn)
+        drawn += n
+        # Row-major (n, 2, k): draw by draw, k real parts then k imaginary parts.
+        z = rng.standard_normal((n, 2, k))
+        # (n, 1, k) @ (k, d^2) forms each candidate by its own vector-matrix
+        # product, so its rounding does not depend on the batch it came in.
+        cand = ((z[:, 0] + 1j * z[:, 1])[:, None, :] @ flat).reshape(n, d, d)
         sigma = np.linalg.svd(cand, compute_uv=False)
-        if sigma[0] <= 0.0:
-            continue
+        top = sigma[:, 0]
         # |det| is a product of d singular values and shrinks geometrically
         # with d even for well-conditioned candidates; the ratio does not.
-        sigma_min = sigma[-1] / sigma[0]
-        if sigma_min <= _CONDITION_FLOOR:
-            continue
-        cand = cand / sigma[0]
-        residual = fro_norm(np.linalg.solve(cand, w_arr @ cand) - target)
-        if residual > SIMILARITY_TOL * scale:
-            continue
-        if sigma_min > best_sigma_min:
-            best_sigma_min = sigma_min
-            best = cand
-        valid_found += 1
-        # A handful of valid draws is enough to pick a well-conditioned one.
-        if valid_found >= 8:
-            break
-    if best is None:
+        # A zero candidate gets ratio 0 and is refused like any singular one.
+        ratio = sigma[:, -1] / np.where(top > 0.0, top, 1.0)
+        ok = ratio > _CONDITION_FLOOR
+        cand = cand[ok] / top[ok, None, None]
+        residual = np.linalg.norm(np.linalg.solve(cand, w_arr @ cand) - w_arr.T, axis=(1, 2))
+        good = residual <= SIMILARITY_TOL * scale
+        valid.extend(cand[good])
+        ratios.extend(ratio[ok][good])
+    if not valid:
         raise SolverFailure(
             f"no invertible similarity found for a {d}x{d} matrix after the retry budget"
         )
-    return best
+    return valid[int(np.argmax(ratios))]
 
 
 def vec(m: np.ndarray) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from cplab import GKSGenerator, OperatorBasis, min_eigenvalue, standard_basis
-from cplab.errors import CplabError
+from cplab import GKSGenerator, OperatorBasis, linalg, min_eigenvalue, standard_basis
+from cplab.errors import CplabError, SolverFailure
 from cplab.linalg import eps_pos, fro_norm, require_square
 
 
@@ -143,3 +143,67 @@ def overlap_rate_trace_form(coeff, basis: OperatorBasis, phi_matrix, psi_matrix)
     t2 = np.einsum("ij,aji->a", n1, f)
     s2 = np.einsum("ij,bij->b", n2, f.conj())
     return float((t1 @ c @ s1 + t2 @ c @ s2).real)
+
+
+def transpose_commutant_basis_kron(w):
+    """``cplab.linalg._transpose_commutant_basis`` with the system built by ``np.kron``."""
+    d = w.shape[0]
+    eye = np.eye(d)
+    _, sing, vh = np.linalg.svd(np.kron(eye, w) - np.kron(w, eye))
+    null_rows = vh[sing <= max(sing[0], 1.0) * 1e-12]
+    return null_rows.conj().reshape(-1, d, d).transpose(0, 2, 1)
+
+
+def similarity_to_transpose_loop(w, rng):
+    """One-draw-at-a-time reference for :func:`cplab.similarity_to_transpose`.
+
+    Reads ``_CONDITION_FLOOR`` and ``SIMILARITY_TOL`` from ``cplab.linalg`` at
+    call time, so a monkeypatched floor applies to both versions.
+    """
+    w_arr = require_square(w, "W")
+    d = w_arr.shape[0]
+    if not w_arr.any():
+        return np.eye(d, dtype=complex)
+    scale = max(1.0, fro_norm(w_arr))
+    basis = transpose_commutant_basis_kron(w_arr)
+    k = basis.shape[0]
+    best, best_sigma_min, valid_found = None, 0.0, 0
+    for _ in range(64):
+        coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        cand = np.tensordot(coeff, basis, axes=1)
+        sigma = np.linalg.svd(cand, compute_uv=False)
+        if sigma[0] <= 0.0:
+            continue
+        sigma_min = sigma[-1] / sigma[0]
+        if sigma_min <= linalg._CONDITION_FLOOR:
+            continue
+        cand = cand / sigma[0]
+        residual = fro_norm(np.linalg.solve(cand, w_arr @ cand) - w_arr.T)
+        if residual > linalg.SIMILARITY_TOL * scale:
+            continue
+        if sigma_min > best_sigma_min:
+            best_sigma_min, best = sigma_min, cand
+        valid_found += 1
+        if valid_found >= 8:
+            break
+    if best is None:
+        raise SolverFailure(f"no invertible similarity found for a {d}x{d} matrix")
+    return best
+
+
+def generator_matrix_kron(h, coeff, ops):
+    """``I kron K + conj(K) kron I + sum_b conj(A_b) kron X_b`` with ``np.kron``.
+
+    Reference for ``cplab.generator._generator_matrix``: the jump sum is formed
+    by the same matrix product, the two ``K`` terms by ``np.kron``, so the
+    two must agree bitwise.
+    """
+    n, d = ops.shape[:2]
+    x = np.tensordot(coeff, ops, axes=(0, 0))
+    ops_bar = ops.conj()
+    k = -1j * h - 0.5 * np.tensordot(ops_bar, x, axes=([0, 1], [0, 1]))
+    jumps = ops_bar.reshape(n, d * d).T @ x.reshape(n, d * d)
+    out = jumps.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    eye = np.eye(d)
+    out += np.kron(eye, k) + np.kron(k.conj(), eye)
+    return out

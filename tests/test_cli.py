@@ -627,6 +627,7 @@ _GKS2_NEG = {"dim": 2, "generator": {"coeff": np.diag([1.0, 1.0, -1.0]).tolist()
 _CHECK = ["check-cp", "--config", "{tmp}/c.json"]
 _NEG = ["--config", "{data}/config_negative.json"]
 _EVOLVE = ["evolve", *_NEG, "--time", "0.1"]
+_ADJACENT_FLOATS = "1:1.0000000000000002:5:lin"
 
 #: name: (argv, config written to {tmp}/c.json, state written to {tmp}/s.json,
 #: CPLAB_TOL, a fragment of the error line); a str config is written verbatim.
@@ -776,6 +777,21 @@ CLI_ERROR_CASES = {
         None,
         None,
         "grid: time grid must be",
+    ),
+    # Five points between two adjacent floats collapse to two values.
+    "grid-spec-collapses": (
+        ["scan", *_NEG, "--grid", _ADJACENT_FLOATS],
+        None,
+        None,
+        None,
+        "config error: --grid: time grid must be",
+    ),
+    "grid-spec-collapses-cp": (
+        ["scan", "--config", "{data}/config_depolarizing.json", "--grid", _ADJACENT_FLOATS],
+        None,
+        None,
+        None,
+        "config error: --grid: time grid must be",
     ),
     # config_negative.json is non-CP, so a report that was written would exit 2.
     "output-is-a-directory": (

@@ -36,6 +36,7 @@ from cplab.linalg import POSITIVITY_TOL, fro_norm, matrix_exp, min_eigenvalue, u
 from helpers import (
     apply_generator,
     coeff_at_cutoff,
+    generator_matrix_kron,
     random_density,
     random_generator,
     random_hermitian,
@@ -118,6 +119,17 @@ class TestTensorExtension:
     def test_null_generator(self):
         ext = tensor_extension(_null_generator())
         np.testing.assert_array_equal(ext.matrix, np.zeros((16, 16)))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_bitwise_equal_to_kron_formula(self, d):
+        # The d^2 x d^2 operators F_a kron I and I kron F_a go through the same builder.
+        g = random_generator(d, np.random.default_rng(13 + d))
+        eye = np.eye(d)
+        left = np.stack([np.kron(f, eye) for f in g.basis.elements])
+        right = np.stack([np.kron(eye, f) for f in g.basis.elements])
+        ref = generator_matrix_kron(np.kron(g.hamiltonian, eye), g.coeff, left)
+        ref += generator_matrix_kron(np.kron(eye, g.hamiltonian), g.coeff, right)
+        assert np.array_equal(tensor_extension(g).matrix, ref)
 
     def test_product_state_rule(self):
         rng = np.random.default_rng(10)

@@ -23,6 +23,7 @@ from cplab.linalg import fro_norm
 
 from helpers import (
     apply_generator,
+    generator_matrix_kron,
     random_density,
     random_generator,
     random_hermitian,
@@ -266,6 +267,12 @@ class TestSuperoperator:
             atol = 1e-12 * max(1.0, np.max(np.abs(naive)))
             np.testing.assert_allclose(out, naive, rtol=0, atol=atol)
             np.testing.assert_allclose(out, apply_generator(g, rho), rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_bitwise_equal_to_kron_formula(self, d):
+        g = random_generator(d, np.random.default_rng(36 + d))
+        ref = generator_matrix_kron(g.hamiltonian, g.coeff, g.basis.elements)
+        assert np.array_equal(superoperator_of(g).matrix, ref)
 
     def test_hermiticity_preserving_action(self):
         rng = np.random.default_rng(32)

@@ -26,6 +26,7 @@ from cplab.errors import (
     ShapeMismatch,
     SolverFailure,
 )
+from cplab import linalg
 from cplab.linalg import fro_norm, unvec, vec
 from cplab.witness import DEFAULT_SCAN_GRID
 
@@ -35,6 +36,8 @@ from helpers import (
     random_generator,
     random_hermitian,
     random_psd,
+    similarity_to_transpose_loop,
+    transpose_commutant_basis_kron,
 )
 
 #: Times at which the kernel is checked against scipy's expm.
@@ -239,10 +242,55 @@ class TestSimilarityToTranspose:
             similarity_to_transpose(np.zeros((2, 3)))
 
     def test_retry_budget_exhausted(self, monkeypatch):
-        # No candidate's sigma_min / sigma_max can exceed 1, so every draw is refused.
+        # No candidate's sigma_min / sigma_max can exceed 1, so every draw is refused;
+        # the batched solver stops after the same 64 draws as the one-at-a-time loop.
         monkeypatch.setattr("cplab.linalg._CONDITION_FLOOR", 1.0)
+        w = np.array([[0.0, 1.0], [0.0, 0.0]])
+        batched, looped = np.random.default_rng(35), np.random.default_rng(35)
         with pytest.raises(SolverFailure):
-            similarity_to_transpose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            similarity_to_transpose(w, rng=batched)
+        with pytest.raises(SolverFailure):
+            similarity_to_transpose_loop(w, looped)
+        assert batched.bit_generator.state == looped.bit_generator.state
+
+    @pytest.mark.parametrize("floor", [None, 0.1])
+    @pytest.mark.parametrize("case", ["random", "sigma-plus", "jordan-3", "diag-1-1-2"])
+    def test_matches_one_draw_at_a_time_loop(self, case, floor, monkeypatch):
+        """Batched draws pick the loop's candidate and consume the generator identically,
+        also under a floor of 0.1 that refuses part of most batches."""
+        if floor is not None:
+            monkeypatch.setattr("cplab.linalg._CONDITION_FLOOR", floor)
+        rng = np.random.default_rng(36)
+        if case == "random":
+            ws = []
+            for d in range(2, 9):
+                for _ in range(4):
+                    w = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                    ws.append(w - np.trace(w) / d * np.eye(d))
+        else:
+            ws = [{
+                "sigma-plus": np.array([[0.0, 1.0], [0.0, 0.0]]),
+                "jordan-3": np.eye(3, k=1),
+                "diag-1-1-2": np.diag([1.0, 1.0, -2.0]),
+            }[case]]
+        for w in ws:
+            basis = linalg._transpose_commutant_basis(w)
+            assert np.array_equal(basis, transpose_commutant_basis_kron(w))
+            seed = int(rng.integers(2**32))
+            batched, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+            p = _solution_or_none(similarity_to_transpose, w, batched)
+            ref = _solution_or_none(similarity_to_transpose_loop, w, looped)
+            assert batched.bit_generator.state == looped.bit_generator.state
+            assert (p is None) == (ref is None)
+            if ref is not None:
+                assert fro_norm(p - ref) <= 1e-12 * fro_norm(ref)
+
+
+def _solution_or_none(solve, w, rng):
+    try:
+        return solve(w, rng)
+    except SolverFailure:
+        return None
 
 
 def test_vec_unvec_round_trip():
