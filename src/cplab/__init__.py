@@ -27,14 +27,12 @@ from .linalg import (
 from .witness import (
     NegativityScan,
     NoNegativeDirection,
-    NotApplicable,
     WitnessCandidate,
     bell_phi_matrix,
     construct_witness,
     direction_operator,
     negativity_scan,
     overlap_rate,
-    symmetric_case_witness,
 )
 
 __version__ = "0.1.0"
@@ -46,7 +44,6 @@ __all__ = [
     "LindbladGenerator",
     "NegativityScan",
     "NoNegativeDirection",
-    "NotApplicable",
     "OperatorBasis",
     "Superoperator",
     "WitnessCandidate",
@@ -66,7 +63,6 @@ __all__ = [
     "similarity_to_transpose",
     "standard_basis",
     "superoperator_of",
-    "symmetric_case_witness",
     "tensor_extension",
     "__version__",
 ]

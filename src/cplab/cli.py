@@ -46,7 +46,7 @@ from .generator import (
     gks_to_lindblad,
     lindblad_to_gks,
 )
-from .linalg import POSITIVITY_TOL, eps_pos, hermiticity_deviation
+from .linalg import POSITIVITY_TOL, hermiticity_deviation, psd_margin
 from .witness import (
     NoNegativeDirection,
     WitnessCandidate,
@@ -328,13 +328,11 @@ def _scan_section(config: ProblemConfig, psi, phi) -> dict:
     }
 
 
-def _witness_sections(
-    config: ProblemConfig, bell_fixture: bool = False, with_scan: bool = True
-) -> dict:
-    """``witness`` (and ``scan``) sections, or ``no_negative_direction`` for a PSD ``C``."""
+def _witness_sections(config: ProblemConfig, args) -> dict:
+    """``witness`` (and, but for ``check-cp``, ``scan``) sections, or ``no_negative_direction``."""
     rng = np.random.default_rng(config.seed)
     phi_matrix = None
-    if bell_fixture:
+    if getattr(args, "bell_fixture", False):
         if config.gks.dim != 2:
             raise ConfigError("--bell-fixture is only defined for dim = 2")
         phi_matrix = bell_phi_matrix()
@@ -342,7 +340,7 @@ def _witness_sections(
     if isinstance(result, NoNegativeDirection):
         return {"no_negative_direction": {"min_coeff_eigenvalue": result.min_coeff_eigenvalue}}
     sections = {"witness": _witness_dict(result)}
-    if with_scan:
+    if args.subcommand != "check-cp":
         sections["scan"] = _scan_section(config, result.psi, result.phi)
     return sections
 
@@ -352,17 +350,15 @@ def _witness_sections(
 # --------------------------------------------------------------------------
 
 
-def _verdict_report(
-    config: ProblemConfig, command: str, with_scan: bool, bell_fixture: bool = False
-) -> tuple[dict, int]:
-    """Report of ``check-cp`` and ``witness``; ``with_scan`` builds the witness even when CP.
+def _verdict_report(config: ProblemConfig, args) -> tuple[dict, int]:
+    """Report of ``check-cp`` and ``witness``; ``witness`` builds the witness even when CP.
 
     A witness entry is present exactly when the verdict is non-CP.
     """
     verdict = is_completely_positive(config.gks, tol=config.tolerance)
     sections = {}
-    if with_scan or not verdict.is_cp:
-        sections = _witness_sections(config, bell_fixture, with_scan)
+    if args.subcommand == "witness" or not verdict.is_cp:
+        sections = _witness_sections(config, args)
     if verdict.is_cp == ("witness" in sections):
         raise CplabError("report invariant violated: witness presence must match verdict")
     verdict_dict = {
@@ -371,16 +367,16 @@ def _verdict_report(
         "min_choi_eigenvalue": verdict.min_choi_eigenvalue,
         "tolerance": verdict.tolerance,
     }
-    report = _report(config, command, verdict=verdict_dict, **sections)
+    report = _report(config, args.subcommand, verdict=verdict_dict, **sections)
     return report, EXIT_OK if verdict.is_cp else EXIT_NOT_CP
 
 
 def cmd_check_cp(config: ProblemConfig, args) -> tuple[dict, int]:
-    return _verdict_report(config, "check-cp", with_scan=False)
+    return _verdict_report(config, args)
 
 
 def cmd_witness(config: ProblemConfig, args) -> tuple[dict, int]:
-    return _verdict_report(config, "witness", with_scan=True, bell_fixture=args.bell_fixture)
+    return _verdict_report(config, args)
 
 
 def cmd_convert(config: ProblemConfig, args) -> tuple[dict, int]:
@@ -400,23 +396,25 @@ def cmd_convert(config: ProblemConfig, args) -> tuple[dict, int]:
     return _report(config, "convert", generator={"dim": config.gks.dim, **payload}), EXIT_OK
 
 
-def _load_state(path: str | None, preset: str | None) -> DensityMatrix:
+def _load_state(path: str | None, preset: str | None, tol: float) -> DensityMatrix:
+    """The ``evolve`` input state, checked at ``tol``, the tolerance its evolution is judged at."""
     if path is None:
         if preset is not None:
-            return DensityMatrix.from_pure(bell_phi_matrix().reshape(-1))
+            return DensityMatrix.from_pure(bell_phi_matrix().reshape(-1), tol)
         raise ConfigError("state: no state supplied and the preset provides none")
     raw = _read_json(path, "state")
     with _naming("state"):
         if "matrix" in raw:
             mat = _array_from_json(raw["matrix"], "state.matrix", (None, None))
-            return DensityMatrix(dim=mat.shape[0], matrix=mat)
+            return DensityMatrix(dim=mat.shape[0], matrix=mat, tol=tol)
         if "vector" in raw:
-            return DensityMatrix.from_pure(_array_from_json(raw["vector"], "state.vector", (None,)))
+            vector = _array_from_json(raw["vector"], "state.vector", (None,))
+            return DensityMatrix.from_pure(vector, tol)
     raise ConfigError("state: needs a 'matrix' or 'vector' field")
 
 
 def cmd_evolve(config: ProblemConfig, args) -> tuple[dict, int]:
-    state, d = _load_state(args.state, args.preset), config.gks.dim
+    state, d = _load_state(args.state, args.preset, config.tolerance), config.gks.dim
     if state.dim == d:
         evolved = evolution_map(config.gks, args.time).apply(state.matrix)
         mode = "single"
@@ -424,12 +422,9 @@ def cmd_evolve(config: ProblemConfig, args) -> tuple[dict, int]:
         evolved = doubled_evolution(config.gks, state.matrix, (args.time,))[0]
         mode = "extended"
     else:
-        raise DimensionMismatch(
-            f"state dimension {state.dim} is neither d={d} nor d^2={d * d}"
-        )
-    herm = (evolved + evolved.conj().T) / 2.0
-    low = float(np.linalg.eigvalsh(herm)[0])
-    violated = low < -eps_pos(herm, config.tolerance)
+        raise DimensionMismatch(f"state dimension {state.dim} is neither d={d} nor d^2={d * d}")
+    low, cutoff = psd_margin((evolved + evolved.conj().T) / 2.0, config.tolerance)
+    violated = low < -cutoff
     report = _report(
         config,
         "evolve",
@@ -439,7 +434,7 @@ def cmd_evolve(config: ProblemConfig, args) -> tuple[dict, int]:
         trace=_to_json(np.trace(evolved)),
         hermiticity_deviation=hermiticity_deviation(evolved),
         min_eigenvalue=low,
-        positivity_violated=bool(violated),
+        positivity_violated=violated,
     )
     return report, EXIT_NOT_CP if violated else EXIT_OK
 
@@ -455,7 +450,7 @@ def _load_pair(path: str, dim_sq: int) -> tuple[np.ndarray, np.ndarray]:
 
 def cmd_scan(config: ProblemConfig, args) -> tuple[dict, int]:
     if args.state is None:
-        sections = _witness_sections(config)
+        sections = _witness_sections(config, args)
     else:
         psi, phi = _load_pair(args.state, config.gks.dim**2)
         sections = {"scan": _scan_section(config, psi, phi)}

@@ -9,14 +9,14 @@ exponentiated, one time grid per :func:`matrix_exp` call;
 :func:`tensor_extension` builds the ``d^4 x d^4`` generator itself as a
 reference.
 
-Complete positivity is decided by the exact coefficient-matrix criterion
-(smallest eigenvalue of ``C`` against the cutoff ``eps_pos(C, tol)``), the
-same test that gates witness construction and the jump-form conversion.
-It is cross-checked by conditional complete positivity: the Choi matrix of
-``L`` compressed onto the orthogonal complement of the maximally entangled
-vector has spectrum ``spec(C)``, so the two smallest eigenvalues must agree
-to roundoff, ``1e-10 * ||Choi||_F``, or :class:`InconsistentVerdict` is
-raised.
+Complete positivity is decided by the exact coefficient-matrix criterion,
+:func:`psd_margin` of ``C``: the same test that gates witness construction
+and the jump-form conversion, and that :class:`DensityMatrix` applies to
+states.  It is cross-checked by conditional complete positivity: the Choi
+matrix of ``L`` compressed onto the orthogonal complement of the maximally
+entangled vector has spectrum ``spec(C)``, so the two smallest eigenvalues
+must agree to roundoff, ``1e-10 * ||Choi||_F``, or
+:class:`InconsistentVerdict` is raised.
 
 :func:`choi_matrix` returns the unnormalized Choi matrix
 ``sum_ij E_ij kron m[E_ij]`` over matrix units as a plain array, obtained
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentVerdict, InvalidState, ZeroVector
-from .generator import GKSGenerator, Superoperator, _coeff_psd, _generator_matrix, superoperator_of
-from .linalg import POSITIVITY_TOL, eps_pos, fro_norm, matrix_exp, min_eigenvalue, require_hermitian
+from .generator import GKSGenerator, Superoperator, _generator_matrix, superoperator_of
+from .linalg import POSITIVITY_TOL, fro_norm, matrix_exp, min_eigenvalue, psd_margin, require_hermitian
 
 #: Largest ``|lambda_min(compressed Choi) - lambda_min(C)|``, relative to
 #: ``||Choi||_F``, that counts as roundoff; more means a bug.
@@ -40,29 +40,30 @@ _CHOI_AGREEMENT = 1e-10
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite state."""
+    """Hermitian, unit-trace state, positive semidefinite by :func:`psd_margin` at ``tol``."""
 
     dim: int
     matrix: np.ndarray
+    tol: float = POSITIVITY_TOL
 
     def __post_init__(self):
         arr = require_hermitian(self.matrix, "density matrix", self.dim)
         trace = complex(np.trace(arr))
         if abs(trace - 1.0) > 1e-10:
             raise InvalidState(f"density matrix trace is {trace:.12g}, expected 1")
-        low = min_eigenvalue(arr)
-        if low < -eps_pos(arr):
+        low, cutoff = psd_margin(arr, self.tol)
+        if low < -cutoff:
             raise InvalidState(f"density matrix has eigenvalue {low:.3e} below -eps_pos")
         object.__setattr__(self, "matrix", arr)
 
     @classmethod
-    def from_pure(cls, vector) -> "DensityMatrix":
+    def from_pure(cls, vector, tol: float = POSITIVITY_TOL) -> "DensityMatrix":
         v = np.asarray(vector, dtype=complex).reshape(-1)
         norm = np.linalg.norm(v)
         if norm <= 0.0:
             raise ZeroVector("cannot build a state from the zero vector")
         v = v / norm
-        return cls(dim=v.size, matrix=np.outer(v, v.conj()))
+        return cls(dim=v.size, matrix=np.outer(v, v.conj()), tol=tol)
 
 
 @dataclass(frozen=True)
@@ -148,17 +149,17 @@ def choi_matrix(m: Superoperator) -> np.ndarray:
 def is_completely_positive(g: GKSGenerator, tol: float = POSITIVITY_TOL) -> CPVerdict:
     """Decide complete positivity of the semigroup generated by ``g``.
 
-    The verdict is ``lambda_min(C) >= -eps_pos(C, tol)``, the same test
-    that gates :func:`construct_witness` and :func:`gks_to_lindblad`.  The
-    Choi matrix of ``L``, compressed onto the orthogonal complement of the
-    maximally entangled vector, has the same spectrum as ``C`` (conditional
-    complete positivity); its smallest eigenvalue is reported as
-    ``min_choi_eigenvalue``.  It makes no second decision at the cutoff: if
-    it differs from ``lambda_min(C)`` by more than ``1e-10 * ||Choi||_F``,
-    the verdict raises :class:`InconsistentVerdict`.
+    The verdict is :func:`psd_margin` of ``C``, the same test that gates
+    :func:`construct_witness` and :func:`gks_to_lindblad`.  The Choi matrix
+    of ``L``, compressed onto the orthogonal complement of the maximally
+    entangled vector, has the same spectrum as ``C`` (conditional complete
+    positivity); its smallest eigenvalue is reported as
+    ``min_choi_eigenvalue``.  It makes no second decision at the cutoff: if it
+    differs from ``lambda_min(C)`` by more than ``1e-10 * ||Choi||_F``, the
+    verdict raises :class:`InconsistentVerdict`.
     """
     d = g.dim
-    min_coeff, cutoff = _coeff_psd(g, tol)
+    min_coeff, cutoff = psd_margin(g.coeff, tol)
     choi = choi_matrix(superoperator_of(g))
     entangled = np.eye(d).reshape(1, d * d) / np.sqrt(d)
     # The rows of V^H after the first span the complement of ``entangled``.

@@ -24,10 +24,9 @@ from .errors import NonTraceless, NonTracelessJump, NotCompletelyPositive, Shape
 from .linalg import (
     HERMITICITY_TOL,
     POSITIVITY_TOL,
-    eps_pos,
     fro_norm,
     hermitian_eig,
-    min_eigenvalue,
+    psd_margin,
     require_hermitian,
     require_square,
     unvec,
@@ -68,12 +67,6 @@ class GKSGenerator:
             raise ShapeMismatch(f"basis dimension {self.basis.dim} != generator dimension {self.dim}")
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "coeff", c)
-
-
-def _coeff_psd(g: GKSGenerator, tol: float) -> tuple[float, float]:
-    """``(low, cutoff) = (lambda_min(C), eps_pos(C, tol))``; ``C`` is PSD iff ``low >= -cutoff``.
-    The CP verdict, both witnesses and the jump-form conversion all gate on this."""
-    return min_eigenvalue(g.coeff), eps_pos(g.coeff, tol)
 
 
 @dataclass(frozen=True)
@@ -131,7 +124,7 @@ def gks_to_lindblad(g: GKSGenerator, tol: float = POSITIVITY_TOL) -> LindbladGen
     conversion is undefined there); eigenvalues up to ``1e-12 *
     max(1, lambda_max)`` are dropped.
     """
-    low, cutoff = _coeff_psd(g, tol)
+    low, cutoff = psd_margin(g.coeff, tol)
     if low < -cutoff:
         raise NotCompletelyPositive(f"coefficient matrix has eigenvalue {low:.6e} < -{cutoff:.1e}")
     vals, vecs = hermitian_eig(g.coeff)

@@ -8,7 +8,8 @@ Conventions used throughout the package:
 * Every matrix argument goes through ``require_square(m, name, dim)``:
   :class:`NonSquare` if not square, :class:`ShapeMismatch` if not ``dim x dim``.
 * Hermiticity is checked relative to ``max(1, ||M||_F)`` with tolerance
-  ``HERMITICITY_TOL``; every positivity cutoff is ``eps_pos(M, tol)``.
+  ``HERMITICITY_TOL``; every positivity decision, on ``C`` or on a state,
+  is :func:`psd_margin`: ``lambda_min(M) >= -eps_pos(M, tol)``.
 * :func:`matrix_exp` is numpy-only scaling and squaring with the [13/13]
   Pade approximant (N. J. Higham, "The scaling and squaring method for the
   matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26, 2005); it
@@ -107,6 +108,18 @@ def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
 def min_eigenvalue(m) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
     return float(np.linalg.eigvalsh(_symmetrized(m))[0])
+
+
+def psd_margin(m, tol: float = POSITIVITY_TOL):
+    """``(lambda_min, cutoff) = (min_eigenvalue(m), eps_pos(m, tol))``; PSD iff ``lambda_min >= -cutoff``.
+
+    A stack ``(n, k, k)`` must be finite and Hermitian already: it is neither checked
+    nor symmetrized again, and both results are length-``n`` arrays.
+    """
+    arr = np.asarray(m)
+    if arr.ndim != 3:
+        return min_eigenvalue(arr), eps_pos(arr, tol)
+    return np.linalg.eigvalsh(arr)[:, 0], tol * np.maximum(1.0, np.linalg.norm(arr, axis=(1, 2)))
 
 
 def matrix_exp(m, times=None) -> np.ndarray:

@@ -36,12 +36,12 @@ from .errors import (
     ShapeMismatch,
     ZeroVector,
 )
-from .generator import GKSGenerator, _coeff_psd, superoperator_of
+from .generator import GKSGenerator, superoperator_of
 from .linalg import (
     POSITIVITY_TOL,
-    eps_pos,
     fro_norm,
     hermitian_eig,
+    psd_margin,
     require_square,
     similarity_to_transpose,
 )
@@ -95,13 +95,6 @@ class NoNegativeDirection:
     """The coefficient matrix is PSD; no witness exists."""
 
     min_coeff_eigenvalue: float
-
-
-@dataclass(frozen=True)
-class NotApplicable:
-    """Hypotheses of the symmetric-case shortcut are not met."""
-
-    reason: str
 
 
 @dataclass(frozen=True)
@@ -207,45 +200,19 @@ def construct_witness(
 ):
     """Build a witness for the most negative direction of the coefficient matrix.
 
-    Returns :class:`NoNegativeDirection` exactly when
-    :func:`is_completely_positive` at the same ``tol`` finds ``C`` PSD
-    within ``eps_pos(C, tol)``.  ``phi_matrix`` overrides the
+    Returns :class:`NoNegativeDirection` exactly when :func:`psd_margin`
+    finds ``C`` PSD at ``tol``, the test of :func:`is_completely_positive`.
+    This is the library's one witness path.  ``phi_matrix`` overrides the
     similarity solver with a fixed coefficient matrix (it must conjugate
-    ``W`` into ``+-W^T``); ties between degenerate eigenvalues resolve to
+    ``W`` into ``+-W^T``), as the CLI's ``--bell-fixture`` does with
+    :func:`bell_phi_matrix`; ties between degenerate eigenvalues resolve to
     the first column of the ascending eigendecomposition.
     """
-    low, cutoff = _coeff_psd(g, tol)
+    low, cutoff = psd_margin(g.coeff, tol)
     if low >= -cutoff:
         return NoNegativeDirection(min_coeff_eigenvalue=low)
     w = hermitian_eig(g.coeff)[1][:, 0]
     return _candidate_from_direction(g, w, rng, phi_matrix)
-
-
-def symmetric_case_witness(g: GKSGenerator, tol: float = POSITIVITY_TOL):
-    """Witness via the fixed choice ``Phi = U U^T / d``, valid for the real case.
-
-    Requires every basis element Hermitian and a real (symmetric)
-    coefficient matrix; then the negative direction can be taken real, ``W``
-    is Hermitian with eigenvectors ``U``, and ``Phi = U U^T / d`` conjugates
-    ``W`` into ``+W^T``, so no similarity solve is needed.  Returns
-    :class:`NotApplicable` when the hypotheses fail and
-    :class:`NoNegativeDirection` exactly when :func:`construct_witness` does.
-    """
-    f = g.basis.elements
-    herm_dev = float(np.max(np.abs(f - f.conj().transpose(0, 2, 1))))
-    if herm_dev > 1e-10:
-        return NotApplicable(reason=f"basis elements deviate from Hermiticity by {herm_dev:.3e}")
-    imag_dev = float(np.max(np.abs(g.coeff.imag)))
-    if imag_dev > 1e-10 * max(1.0, fro_norm(g.coeff)):
-        return NotApplicable(reason=f"coefficient matrix has imaginary entries up to {imag_dev:.3e}")
-
-    low, cutoff = _coeff_psd(g, tol)
-    if low >= -cutoff:
-        return NoNegativeDirection(min_coeff_eigenvalue=low)
-    # The real driver keeps the direction real.
-    w = np.linalg.eigh(g.coeff.real)[1][:, 0].astype(complex)
-    _, u = np.linalg.eigh(direction_operator(w, g.basis))
-    return _candidate_from_direction(g, w, None, phi_matrix=(u @ u.T) / g.dim)
 
 
 def bell_phi_matrix() -> np.ndarray:
@@ -268,21 +235,19 @@ def negativity_scan(
 
     ``psi`` is normalized before forming the projector; ``phi`` enters the
     overlap values unnormalized.  ``first_negative_time`` is the earliest
-    grid time whose evolved state has an eigenvalue below ``-eps_pos``.
+    grid time whose evolved state :func:`psd_margin` finds not PSD at ``tol``.
     """
     times = _require_grid(DEFAULT_SCAN_GRID if t_grid is None else t_grid)
     phi_v, psi_v = _pair_vectors(phi, psi, g.dim * g.dim)
     psi_v = psi_v / np.linalg.norm(psi_v)
     states = doubled_evolution(g, np.outer(psi_v, psi_v.conj()), times)
     herm = (states + states.conj().transpose(0, 2, 1)) / 2.0
-    min_eigs = np.linalg.eigvalsh(herm)[:, 0]
+    min_eigs, cutoffs = psd_margin(herm, tol)
     overlaps = ((herm @ phi_v) @ phi_v.conj()).real
-    first_negative = next(
-        (float(t) for t, low, h in zip(times, min_eigs, herm) if low < -eps_pos(h, tol)), None
-    )
+    negative = times[min_eigs < -cutoffs]
     return NegativityScan(
         times=times,
         min_eigenvalues=min_eigs,
         overlap_values=overlaps,
-        first_negative_time=first_negative,
+        first_negative_time=float(negative[0]) if negative.size else None,
     )

@@ -1,10 +1,21 @@
-"""Shared random-object builders for the test suite."""
+"""Shared random-object builders and reference implementations for the test suite."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from cplab import GKSGenerator, OperatorBasis, linalg, min_eigenvalue, standard_basis
+from cplab import (
+    GKSGenerator,
+    NoNegativeDirection,
+    OperatorBasis,
+    direction_operator,
+    linalg,
+    min_eigenvalue,
+    standard_basis,
+)
 from cplab.errors import CplabError, SolverFailure
-from cplab.linalg import eps_pos, fro_norm, require_square
+from cplab.linalg import POSITIVITY_TOL, eps_pos, fro_norm, psd_margin, require_square
+from cplab.witness import _candidate_from_direction
 
 
 class TraceConditionViolated(CplabError):
@@ -207,3 +218,37 @@ def generator_matrix_kron(h, coeff, ops):
     eye = np.eye(d)
     out += np.kron(eye, k) + np.kron(k.conj(), eye)
     return out
+
+
+@dataclass(frozen=True)
+class NotApplicable:
+    """Hypotheses of :func:`symmetric_case_witness` are not met."""
+
+    reason: str
+
+
+def symmetric_case_witness(g: GKSGenerator, tol: float = POSITIVITY_TOL):
+    """Witness via the fixed choice ``Phi = U U^T / d``, valid for the real case.
+
+    Oracle for :func:`cplab.construct_witness`: with every basis element
+    Hermitian and a real (symmetric) coefficient matrix, the negative
+    direction can be taken real, ``W`` is Hermitian with eigenvectors ``U``,
+    and ``Phi = U U^T / d`` conjugates ``W`` into ``+W^T``, so no similarity
+    solve is needed.  Returns :class:`NotApplicable` when the hypotheses fail
+    and ``NoNegativeDirection`` exactly when ``construct_witness`` does.
+    """
+    f = g.basis.elements
+    herm_dev = float(np.max(np.abs(f - f.conj().transpose(0, 2, 1))))
+    if herm_dev > 1e-10:
+        return NotApplicable(reason=f"basis elements deviate from Hermiticity by {herm_dev:.3e}")
+    imag_dev = float(np.max(np.abs(g.coeff.imag)))
+    if imag_dev > 1e-10 * max(1.0, fro_norm(g.coeff)):
+        return NotApplicable(reason=f"coefficient matrix has imaginary entries up to {imag_dev:.3e}")
+
+    low, cutoff = psd_margin(g.coeff, tol)
+    if low >= -cutoff:
+        return NoNegativeDirection(min_coeff_eigenvalue=low)
+    # The real driver keeps the direction real.
+    w = np.linalg.eigh(g.coeff.real)[1][:, 0].astype(complex)
+    _, u = np.linalg.eigh(direction_operator(w, g.basis))
+    return _candidate_from_direction(g, w, None, phi_matrix=(u @ u.T) / g.dim)

@@ -12,7 +12,7 @@ import scipy.linalg
 import cplab
 from cplab import Superoperator, tensor_extension
 from cplab.cli import main
-from cplab.linalg import POSITIVITY_TOL
+from cplab.linalg import POSITIVITY_TOL, eps_pos, min_eigenvalue
 
 from helpers import (
     coeff_at_cutoff,
@@ -323,6 +323,45 @@ class TestEvolveCommand:
         )
         assert code == 1
         assert "neither" in err
+
+
+def _diagonal_state_at_cutoff(n, tol, ulps):
+    """``diag(1 + e, -e, 0, ...)`` of size ``n``, with ``e`` stepped ``ulps`` floats
+    from the largest ``e`` at which ``lambda_min = -e`` still meets ``-eps_pos(state, tol)``."""
+
+    def state(e):
+        return np.diag([1.0 + e, -e] + [0.0] * (n - 2)).astype(complex)
+
+    def accepted(e):
+        return min_eigenvalue(state(e)) >= -eps_pos(state(e), tol)
+
+    lo, hi = 0.0, 2.0 * tol
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+    e = lo
+    for _ in range(abs(ulps)):
+        e = np.nextafter(e, np.sign(ulps) * np.inf)
+    return state(e)
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-3])
+@pytest.mark.parametrize("n", [2, 4], ids=["d", "d2"])
+def test_evolve_checks_the_state_at_the_resolved_tolerance(n, tol, tmp_path, capsys):
+    """At t = 0 the evolved state is the input: the intake refuses it (exit 1)
+    exactly when the state is not PSD at ``--tol``, and the evolution never
+    certifies a violation (exit 2) for a state the intake accepted."""
+    codes = set()
+    path = tmp_path / "s.json"
+    for ulps in range(-2, 3):
+        state = _diagonal_state_at_cutoff(n, tol, ulps)
+        path.write_text(json.dumps({"matrix": state.real.tolist()}))
+        argv = ["evolve", "--config", str(DATA / "config_depolarizing.json"), "--state", str(path)]
+        code, _, err = _run([*argv, "--time", "0", "--tol", repr(tol)], capsys)
+        refused = min_eigenvalue(state) < -eps_pos(state, tol)
+        assert code == (1 if refused else 0), (ulps, err)
+        assert ("below -eps_pos" in err) == refused
+        codes.add(code)
+    assert codes == {0, 1}
 
 
 class TestScanCommand:

@@ -9,7 +9,6 @@ from cplab import (
     GKSGenerator,
     LindbladGenerator,
     NoNegativeDirection,
-    NotApplicable,
     Superoperator,
     choi_matrix,
     construct_witness,
@@ -19,7 +18,6 @@ from cplab import (
     lindblad_to_gks,
     standard_basis,
     superoperator_of,
-    symmetric_case_witness,
     tensor_extension,
 )
 from cplab import generator
@@ -34,6 +32,7 @@ from cplab.errors import (
 from cplab.linalg import POSITIVITY_TOL, fro_norm, matrix_exp, min_eigenvalue, unvec, vec
 
 from helpers import (
+    NotApplicable,
     apply_generator,
     coeff_at_cutoff,
     generator_matrix_kron,
@@ -42,6 +41,7 @@ from helpers import (
     random_hermitian,
     random_psd,
     random_traceless_hermitian,
+    symmetric_case_witness,
     tensor_square_superop,
     transpose_superop,
 )

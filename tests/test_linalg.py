@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -27,11 +30,13 @@ from cplab.errors import (
     SolverFailure,
 )
 from cplab import linalg
-from cplab.linalg import fro_norm, unvec, vec
-from cplab.witness import DEFAULT_SCAN_GRID
+from cplab.linalg import POSITIVITY_TOL, eps_pos, fro_norm, psd_margin, unvec, vec
+from cplab.dynamics import doubled_evolution
+from cplab.witness import DEFAULT_SCAN_GRID, negativity_scan
 
 from helpers import (
     apply_generator,
+    coeff_at_cutoff,
     overlap_rate_trace_form,
     random_generator,
     random_hermitian,
@@ -178,6 +183,67 @@ class TestMinEigenvalue:
         proj = np.zeros((3, 3))
         proj[0, 0] = 1.0
         assert min_eigenvalue(proj) == pytest.approx(0.0, abs=1e-14)
+
+
+class TestPsdMargin:
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, POSITIVITY_TOL, 1e-3])
+    def test_matrix_is_min_eigenvalue_and_eps_pos_bitwise(self, tol):
+        rng = np.random.default_rng(60)
+        for d, scale in ((2, 0.1), (3, 1.0), (5, 40.0)):
+            m = random_hermitian(d, rng, scale)
+            low, cutoff = psd_margin(m, tol)
+            assert (type(low), type(cutoff)) == (float, float)
+            assert low == min_eigenvalue(m)
+            assert cutoff == eps_pos(m, tol)
+
+    def test_stack_matches_matrix_calls(self):
+        rng = np.random.default_rng(61)
+        for d in (2, 4, 9):
+            stack = np.stack([random_hermitian(d, rng, scale) for scale in (0.05, 1.0, 7.0)])
+            lows, cutoffs = psd_margin(stack, POSITIVITY_TOL)
+            assert lows.shape == cutoffs.shape == (3,)
+            for m, low, cutoff in zip(stack, lows, cutoffs):
+                single_low, single_cutoff = psd_margin(m, POSITIVITY_TOL)
+                assert low == single_low
+                assert cutoff == pytest.approx(single_cutoff, rel=1e-14)
+            # The smallest matrix has norm below 1, so its cutoff is tol itself.
+            assert cutoffs[0] == POSITIVITY_TOL
+
+    def test_nan_matrix_raises_non_finite(self):
+        with pytest.raises(NonFinite):
+            psd_margin(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("tol", [0.0, POSITIVITY_TOL])
+    def test_agrees_with_coeff_at_cutoff(self, tol):
+        """At d = 2 (C is 3x3) the decision flips between -1 and 0 ulps of the
+        boundary shift, exactly where the reference bisection puts it."""
+        for seed in range(5):
+            c0 = random_hermitian(3, np.random.default_rng(62 + seed))
+            verdicts = []
+            for ulps in (-1, 0, 1):
+                c = coeff_at_cutoff(c0, tol, ulps)
+                low, cutoff = psd_margin(c, tol)
+                assert (low, cutoff) == (min_eigenvalue(c), eps_pos(c, tol))
+                verdicts.append(low >= -cutoff)
+            assert verdicts == [False, True, True]
+
+    @pytest.mark.parametrize("tol", [0.0, POSITIVITY_TOL, 1e-3])
+    def test_scan_matches_a_per_point_loop(self, tol):
+        """The scan's one stacked comparison finds the grid time that a loop of
+        ``min_eigenvalue`` and ``eps_pos`` over the same states finds."""
+        rng = np.random.default_rng(63)
+        times = np.geomspace(1e-4, 3.0, 12)
+        for d in (2, 3, 3):
+            n = d * d - 1
+            coeff = random_hermitian(n, rng)
+            g = random_generator(d, rng, coeff=coeff - (min_eigenvalue(coeff) + 0.5) * np.eye(n))
+            w = construct_witness(g, rng=rng)
+            psi = w.psi / np.linalg.norm(w.psi)
+            herm = [(s + s.conj().T) / 2 for s in doubled_evolution(g, np.outer(psi, psi.conj()), times)]
+            expected = next(
+                (t for t, h in zip(times, herm) if min_eigenvalue(h) < -eps_pos(h, tol)), None
+            )
+            assert negativity_scan(g, w.psi, w.phi, times, tol).first_negative_time == expected
 
 
 def _similarity_residual(w, p):
@@ -334,3 +400,24 @@ def test_matrix_shape_checks(call, n):
     with pytest.raises(ShapeMismatch) as not_square:
         call(np.zeros((n, n + 1)))
     assert isinstance(not_square.value, NonSquare)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "cplab"
+
+
+def test_only_linalg_decides_positivity():
+    """Outside ``linalg.py`` no module calls ``eigvalsh`` or ``eps_pos``: every
+    positivity decision goes through ``psd_margin``, so a change to the cutoff
+    or the eigenvalue routine is made in one place."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("eigvalsh", "eps_pos"):
+                    offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert len(list(SRC.glob("*.py"))) > 1
+    assert not offenders

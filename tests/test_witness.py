@@ -7,7 +7,6 @@ import scipy.linalg
 from cplab import (
     GKSGenerator,
     NoNegativeDirection,
-    NotApplicable,
     OperatorBasis,
     Superoperator,
     WitnessCandidate,
@@ -18,7 +17,6 @@ from cplab import (
     overlap_rate,
     similarity_to_transpose,
     standard_basis,
-    symmetric_case_witness,
     tensor_extension,
 )
 from cplab.errors import (
@@ -32,12 +30,14 @@ from cplab.errors import (
 from cplab.generator import _generator_matrix
 
 from helpers import (
+    NotApplicable,
     TraceConditionViolated,
     overlap_rate_trace_form,
     random_generator,
     random_hermitian,
     random_psd,
     random_pure_vector,
+    symmetric_case_witness,
 )
 
 
