@@ -10,13 +10,19 @@ Conventions used throughout the package:
 * Hermiticity is checked relative to ``max(1, ||M||_F)`` with tolerance
   ``HERMITICITY_TOL``; every positivity decision, on ``C`` or on a state,
   is :func:`psd_margin`: ``lambda_min(M) >= -eps_pos(M, tol)``.
-* :func:`matrix_exp` is numpy-only scaling and squaring with the [13/13]
-  Pade approximant (N. J. Higham, "The scaling and squaring method for the
-  matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26, 2005); it
-  evaluates ``e^{tM}`` for a whole time grid from one set of powers of ``M``.
+* :func:`matrix_exp` is numpy-only scaling and squaring with the degree-30
+  truncated Taylor series, whose backward error stays below the unit
+  roundoff for ``||A||_1 <= theta_30 = 3.54`` (A. H. Al-Mohy and N. J. Higham,
+  "Computing the action of the matrix exponential", SIAM J. Sci. Comput. 33,
+  2011, Table 3.1).  It solves no linear system: the series is evaluated in
+  Paterson-Stockmeyer form (SIAM J. Comput. 2, 1973) for a whole time grid
+  from one set of powers of ``M``, with the block size that needs the fewest
+  matrix products for the number of times.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -37,17 +43,15 @@ _CONDITION_FLOOR = 1e-10
 #: Seed used when no RNG is supplied, keeping library calls deterministic.
 DEFAULT_SEED = 0x5EED
 
-#: Coefficients b_k / b_0 of the [13/13] Pade approximant to e^x; with
-#: b_0 scaled to 1 the approximant at t = 0 solves I X = I, exactly.
-_PADE13 = np.array([
-    64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800,
-    129060195264000, 10559470521600, 670442572800, 33522128640, 1323241920,
-    40840800, 960960, 16380, 182, 1,
-]) / 64764752532480000
+#: Degree of the truncated Taylor series in :func:`matrix_exp`.
+_DEGREE = 30
 
-#: Largest ``||A||_1`` at which the [13/13] approximant's backward error
-#: bound stays below the unit roundoff (Higham 2005).
-_THETA13 = 5.371920351148152
+#: Taylor coefficients ``1/k!`` for ``k = 0 .. _DEGREE``, each correctly rounded.
+_INV_FACTORIAL = np.array([1 / math.factorial(k) for k in range(_DEGREE + 1)])
+
+#: Largest ``||A||_1`` at which the degree-30 Taylor polynomial's backward
+#: error bound stays below the unit roundoff (Al-Mohy & Higham 2011, Table 3.1).
+_THETA30 = 3.5396663487436895
 
 
 def fro_norm(m: np.ndarray) -> float:
@@ -122,19 +126,33 @@ def psd_margin(m, tol: float = POSITIVITY_TOL):
     return np.linalg.eigvalsh(arr)[:, 0], tol * np.maximum(1.0, np.linalg.norm(arr, axis=(1, 2)))
 
 
+def _block_size(count: int) -> int:
+    """Paterson-Stockmeyer block size for ``count`` times: the ``q`` in ``1 .. 31``
+    (the first on a tie) that minimizes the matrix products, ``q - 1`` to form
+    ``N^2 .. N^q`` once plus ``ceil(31/q) - 1`` Horner steps per time."""
+    cost = [q - 1 + count * (-(-(_DEGREE + 1) // q) - 1) for q in range(1, _DEGREE + 2)]
+    return 1 + cost.index(min(cost))
+
+
 def matrix_exp(m, times=None) -> np.ndarray:
     """``e^M``, or the stack ``e^{tM}`` over ``times`` (shape ``(T, n, n)``).
 
-    Scaling and squaring with the [13/13] Pade approximant (Higham 2005).
-    The powers ``N^0 .. N^13`` of ``N = M / 2^e``, with ``2^e`` the power of
-    two at or above ``||M||_1``, are formed once, 13 matrix products for the
-    whole grid.  Each time ``t`` is scaled by ``2^-s`` so that
-    ``||t M||_1 / 2^s <= theta_13``; the Pade numerator and denominator are
-    the odd and even power stacks contracted with ``b_k tau^k`` for
-    ``tau = t 2^(e - s)``, and ``s`` squarings follow.  Normalizing keeps
-    every power bounded by 1, so large ``||M||`` cannot overflow them.
+    Scaling and squaring with the degree-30 truncated Taylor series
+    (Al-Mohy & Higham 2011); no linear system is solved.  ``N = M / 2^e``,
+    with ``2^e`` the power of two at or above ``||M||_1``, is an exact
+    scaling, so every power of ``N`` is bounded by 1 and large ``||M||``
+    cannot overflow them.  Each time ``t`` is scaled by ``2^-s`` so that
+    ``||t M||_1 / 2^s <= theta_30``, and ``s`` squarings follow.  The
+    coefficients ``tau^k / k!``, ``tau = t 2^(e - s)``, form one ``(T, 31)``
+    table.  The polynomial is evaluated in Paterson-Stockmeyer form with
+    block size ``q`` from :func:`_block_size`: ``N^0 .. N^q`` are formed once
+    by batched doubling, the coefficient blocks are contracted with
+    ``N^0 .. N^(q-1)`` in one matrix product, and Horner's rule in ``N^q``
+    joins the blocks.  The 30-point scan grid takes ``q = 31``, all powers
+    and no Horner step; one time takes ``q = 4``, 10 matrix products.
     Times must be finite and nonnegative (:class:`NegativeTime`); ``t = 0``
-    and ``M = 0`` give exactly the identity.
+    and ``M = 0`` give exactly the identity.  A propagator that overflows
+    while squaring raises :class:`NonFinite` naming its time.
     """
     arr = require_square(m)
     if times is None:
@@ -148,28 +166,45 @@ def matrix_exp(m, times=None) -> np.ndarray:
     if norm == 0.0:
         return np.tile(np.eye(n, dtype=complex), (t.size, 1, 1))
 
+    # s = ceil(log2(t ||M||_1 / theta_30)), floored at 0; tau = t 2^(e - s).
+    e = int(np.frexp(norm)[1])
+    with np.errstate(divide="ignore"):
+        excess = np.log2(t) + np.log2(norm / _THETA30)
+    squarings = np.where(excess > 0, np.ceil(excess), 0).astype(int)
+    q = _block_size(t.size)
+    blocks = -(-(_DEGREE + 1) // q)
+    # Row i holds tau_i^k / k!, zero-padded to whole blocks of q coefficients.
+    tau = np.ldexp(t, e - squarings)
+    table = np.zeros((t.size, blocks * q))
+    table[:, :_DEGREE + 1] = tau[:, None] ** np.arange(_DEGREE + 1) * _INV_FACTORIAL
+
     # N = M / 2^e with 2^e >= ||M||_1: an exact scaling, so every power of N
     # is bounded by 1 and neither huge nor subnormal entries overflow.
-    e = int(np.frexp(norm)[1])
-    unit = np.ldexp(arr.real, -e) + 1j * np.ldexp(arr.imag, -e)
-    even = np.empty((7, n, n), dtype=complex)
-    even[0] = np.eye(n)
-    even[1] = unit @ unit
-    for k in range(2, 7):
-        even[k] = even[k - 1] @ even[1]
-    odd = unit @ even
+    # N^0 .. N^q by doubling; with one block (q = 31) N^31 is never used.
+    top = min(q, _DEGREE)
+    powers = np.empty((top + 1, n, n), dtype=complex)
+    powers[0] = np.eye(n)
+    powers[1] = np.ldexp(arr.real, -e) + 1j * np.ldexp(arr.imag, -e)
+    k = 1
+    while k < top:
+        stop = min(2 * k, top)
+        powers[k + 1:stop + 1] = powers[1:stop - k + 1] @ powers[k]
+        k *= 2
+    # Real coefficients times the interleaved real and imaginary parts: one real GEMM.
+    poly = (table.reshape(-1, q) @ powers[:q].reshape(q, n * n).view(float)).view(complex)
+    poly = poly.reshape(t.size, blocks, n, n)
+    out = poly[:, -1]
+    for j in range(blocks - 2, -1, -1):
+        out = out @ powers[q] + poly[:, j]
 
-    # s = ceil(log2(t ||M||_1 / theta_13)), floored at 0; tau = t 2^(e - s).
-    with np.errstate(divide="ignore"):
-        excess = np.log2(t) + np.log2(norm / _THETA13)
-    squarings = np.where(excess > 0, np.ceil(excess), 0).astype(int)
-    coeff = _PADE13 * np.ldexp(t, e - squarings)[:, None] ** np.arange(14)
-    u = np.tensordot(coeff[:, 1::2], odd, axes=1)
-    v = np.tensordot(coeff[:, 0::2], even, axes=1)
-    out = np.linalg.solve(v - u, v + u)
-    for step in range(squarings.max(initial=0)):
-        active = squarings > step
-        out[active] = out[active] @ out[active]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(squarings.max(initial=0)):
+            active = squarings > step
+            out[active] = out[active] @ out[active]
+    finite = np.isfinite(out.view(float)).all(axis=(1, 2))
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise NonFinite(f"e^(tM) overflowed at t = {t[first]:g} after {squarings[first]} squarings")
     return out
 
 

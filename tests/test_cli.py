@@ -172,6 +172,12 @@ class TestWitnessCommand:
         assert code == 2
         assert json.loads(out)["scan"]["times"] == [0.0, 0.25, 0.5, 0.75, 1.0]
 
+    def test_log_grid_to_1e10_stays_finite(self, capsys):
+        argv = ["scan", "--config", str(DATA / "config_negative.json"), "--grid", "1:1e10:4:log"]
+        code, out, _ = _run(argv, capsys)
+        assert code == 2
+        assert json.loads(out)["scan"]["first_negative_time"] is not None
+
     def test_custom_grid(self, capsys):
         code, out, _ = _run(
             [
@@ -712,6 +718,12 @@ CLI_ERROR_CASES = {
     "no-config": (["check-cp"], None, None, None, "--config is required"),
     "grid-bad-number": (["scan", *_NEG, "--grid", "a:1:5:lin"], None, None, None, "could not"),
     "grid-log-from-zero": (["scan", *_NEG, "--grid", "0:1:5:log"], None, None, None, "start > 0"),
+    "grid-overflows-at-1e20": (
+        ["scan", *_NEG, "--grid", "1:1e20:4:log"], None, None, None, "overflowed at t = 1e+20"
+    ),
+    "grid-overflows-at-1e100": (
+        ["scan", *_NEG, "--grid", "1:1e300:4:log"], None, None, None, "overflowed at t = 1e+100"
+    ),
     "grid-unknown-spacing": (
         ["scan", *_NEG, "--grid", "1e-3:1:5:cubic"], None, None, None, "spacing must be"
     ),

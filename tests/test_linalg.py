@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cplab import (
@@ -145,9 +145,9 @@ class TestMatrixExp:
         g = random_generator(3, rng, coeff=random_psd(8, rng))
         base = superoperator_of(g).matrix
         times = (0.0, 1e-3, 0.05, 0.5, 4.0, 60.0)
-        # theta_13 = 5.37: the first times need no squaring, the last one 10+.
+        # theta_30 = 3.54: the first times need no squaring, the last one 10+.
         scaled = np.array(times) * np.linalg.norm(base, 1)
-        assert scaled[1] < 5.37 and scaled[-1] > 2**10 * 5.37
+        assert scaled[1] < 3.54 and scaled[-1] > 2**10 * 3.54
         _assert_matches_expm(base, times)
 
     def test_huge_norm_stays_finite(self):
@@ -170,6 +170,54 @@ class TestMatrixExp:
     def test_rejects_bad_times(self, bad):
         with pytest.raises(NegativeTime):
             matrix_exp(np.eye(2), (0.0, bad))
+
+    def test_overflow_names_the_first_time(self):
+        """e^800 is beyond the float range: the squarings overflow without a
+        warning, and NonFinite names the first time whose propagator did."""
+        with pytest.raises(NonFinite, match=r"overflowed at t = 800 after 8 squarings"):
+            matrix_exp(np.diag([1.0, -1.0]), (1.0, 800.0, 1e3))
+
+    def test_lengths_1_to_40_reach_every_block_size(self):
+        assert linalg._block_size(1) == 4 and linalg._block_size(30) == 31
+        assert {linalg._block_size(c) for c in range(1, 41)} == {
+            linalg._block_size(c) for c in range(1, 5000)
+        }
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+        times=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+    )
+    # The first length at which each block size q = 4, 8, 11, 16, 31 is picked.
+    @example(d=5, seed=1, times=[0.9])
+    @example(d=4, seed=2, times=[0.1, 0.7])
+    @example(d=3, seed=3, times=list(np.linspace(0.0, 1.0, 4)))
+    @example(d=5, seed=4, times=list(np.geomspace(1e-4, 1.0, 6)))
+    @example(d=2, seed=5, times=list(np.linspace(0.0, 1.0, 16)))
+    def test_every_block_size_matches_expm(self, d, seed, times):
+        """Every time list of length 1 to 40 matches scipy's expm, and each
+        single-time call matches its entry of the grid.
+
+        Times span the default scan grid, [0, 1].  Further out the squarings
+        amplify roundoff: at t = 10 the two evaluations differ by up to
+        1.5e-13 relative, twice the largest distance of either from scipy's expm.
+        """
+        base = superoperator_of(random_generator(d, np.random.default_rng(seed))).matrix
+        stack = matrix_exp(base, times)
+        for t, out in zip(times, stack):
+            ref = scipy.linalg.expm(t * base)
+            assert fro_norm(out - ref) <= 1e-10 * fro_norm(ref)
+            assert fro_norm(matrix_exp(base, (t,))[0] - out) <= 1e-13 * fro_norm(out)
+
+    def test_never_solves(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            pytest.fail("matrix_exp called np.linalg.solve")
+
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        base = superoperator_of(random_generator(3, np.random.default_rng(62))).matrix
+        for times in (DEFAULT_SCAN_GRID, (0.5,)):
+            assert matrix_exp(base, times).shape == (len(times), 9, 9)
 
 
 class TestMinEigenvalue:
