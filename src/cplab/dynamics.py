@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InconsistentVerdict, InvalidState, ZeroVector
 from .generator import GKSGenerator, Superoperator, _generator_matrix, superoperator_of
-from .linalg import POSITIVITY_TOL, fro_norm, matrix_exp, min_eigenvalue, psd_margin, require_hermitian
+from .linalg import POSITIVITY_TOL, _hermitian_margin, fro_norm, matrix_exp, min_eigenvalue, require_hermitian
 
 #: Largest ``|lambda_min(compressed Choi) - lambda_min(C)|``, relative to
 #: ``||Choi||_F``, that counts as roundoff; more means a bug.
@@ -51,7 +51,7 @@ class DensityMatrix:
         trace = complex(np.trace(arr))
         if abs(trace - 1.0) > 1e-10:
             raise InvalidState(f"density matrix trace is {trace:.12g}, expected 1")
-        low, cutoff = psd_margin(arr, self.tol)
+        low, cutoff, _ = _hermitian_margin(arr, self.tol)
         if low < -cutoff:
             raise InvalidState(f"density matrix has eigenvalue {low:.3e} below -eps_pos")
         object.__setattr__(self, "matrix", arr)
@@ -59,7 +59,7 @@ class DensityMatrix:
     @classmethod
     def from_pure(cls, vector, tol: float = POSITIVITY_TOL) -> "DensityMatrix":
         v = np.asarray(vector, dtype=complex).reshape(-1)
-        norm = np.linalg.norm(v)
+        norm = fro_norm(v)
         if norm <= 0.0:
             raise ZeroVector("cannot build a state from the zero vector")
         v = v / norm
@@ -150,7 +150,8 @@ def is_completely_positive(g: GKSGenerator, tol: float = POSITIVITY_TOL) -> CPVe
     """Decide complete positivity of the semigroup generated by ``g``.
 
     The verdict is :func:`psd_margin` of ``C``, the same test that gates
-    :func:`construct_witness` and :func:`gks_to_lindblad`.  The Choi matrix
+    :func:`construct_witness` and :func:`gks_to_lindblad`; ``C`` was
+    validated when ``g`` was built and is not checked again.  The Choi matrix
     of ``L``, compressed onto the orthogonal complement of the maximally
     entangled vector, has the same spectrum as ``C`` (conditional complete
     positivity); its smallest eigenvalue is reported as
@@ -159,7 +160,7 @@ def is_completely_positive(g: GKSGenerator, tol: float = POSITIVITY_TOL) -> CPVe
     verdict raises :class:`InconsistentVerdict`.
     """
     d = g.dim
-    min_coeff, cutoff = psd_margin(g.coeff, tol)
+    min_coeff, cutoff, _ = _hermitian_margin(g.coeff, tol)
     choi = choi_matrix(superoperator_of(g))
     entangled = np.eye(d).reshape(1, d * d) / np.sqrt(d)
     # The rows of V^H after the first span the complement of ``entangled``.

@@ -24,9 +24,8 @@ from .errors import NonTraceless, NonTracelessJump, NotCompletelyPositive, Shape
 from .linalg import (
     HERMITICITY_TOL,
     POSITIVITY_TOL,
+    _hermitian_margin,
     fro_norm,
-    hermitian_eig,
-    psd_margin,
     require_hermitian,
     require_square,
     unvec,
@@ -46,13 +45,24 @@ def _hamiltonian(h, dim: int) -> np.ndarray:
     return _require_traceless(require_hermitian(h, "hamiltonian", dim), "hamiltonian")
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """A read-only copy of a validated array: later writes to the caller's
+    array cannot reach the generator, and the generator's cannot be written."""
+    out = arr.copy()
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class GKSGenerator:
     """Generator in coefficient-matrix form.
 
     ``hamiltonian`` must be Hermitian and traceless; ``coeff`` Hermitian of
     size ``(d^2-1) x (d^2-1)``.  A trace component in ``hamiltonian`` is
-    rejected rather than projected out, so caller bugs stay visible.
+    rejected rather than projected out, so caller bugs stay visible.  Both
+    are stored as read-only complex copies of the validated arrays, so the
+    CP verdict, the witness and :func:`gks_to_lindblad` read ``coeff``
+    without checking it again.
     """
 
     dim: int
@@ -65,13 +75,17 @@ class GKSGenerator:
         c = require_hermitian(self.coeff, "coeff", self.dim * self.dim - 1)
         if self.basis.dim != self.dim:
             raise ShapeMismatch(f"basis dimension {self.basis.dim} != generator dimension {self.dim}")
-        object.__setattr__(self, "hamiltonian", h)
-        object.__setattr__(self, "coeff", c)
+        object.__setattr__(self, "hamiltonian", _frozen(h))
+        object.__setattr__(self, "coeff", _frozen(c))
 
 
 @dataclass(frozen=True)
 class LindbladGenerator:
-    """Generator in jump-operator form; every ``V_r`` must be traceless."""
+    """Generator in jump-operator form; every ``V_r`` must be traceless.
+
+    ``hamiltonian`` and each jump operator are stored as read-only complex
+    copies of the validated arrays.
+    """
 
     dim: int
     hamiltonian: np.ndarray
@@ -82,8 +96,8 @@ class LindbladGenerator:
         ops = []
         for r, op in enumerate(self.jump_ops):
             arr = require_square(op, f"jump_ops[{r}]", self.dim)
-            ops.append(_require_traceless(arr, f"jump_ops[{r}]", error=NonTracelessJump))
-        object.__setattr__(self, "hamiltonian", h)
+            ops.append(_frozen(_require_traceless(arr, f"jump_ops[{r}]", error=NonTracelessJump)))
+        object.__setattr__(self, "hamiltonian", _frozen(h))
         object.__setattr__(self, "jump_ops", tuple(ops))
 
 
@@ -118,24 +132,27 @@ def lindblad_to_gks(l: LindbladGenerator, basis: OperatorBasis) -> GKSGenerator:
 def gks_to_lindblad(g: GKSGenerator, tol: float = POSITIVITY_TOL) -> LindbladGenerator:
     """Factor ``C`` and return the jump-operator form.
 
-    The factorization goes through the Hermitian eigendecomposition rather
-    than Cholesky, which fails on the semidefinite boundary.  A ``C`` that
+    The factorization is the Hermitian eigendecomposition of the same
+    symmetrized ``C`` that the positivity test decides on, rather than
+    Cholesky, which fails on the semidefinite boundary.  A ``C`` that
     the CP verdict finds not PSD raises :class:`NotCompletelyPositive` (the
     conversion is undefined there); eigenvalues up to ``1e-12 *
     max(1, lambda_max)`` are dropped.
     """
-    low, cutoff = psd_margin(g.coeff, tol)
+    low, cutoff, sym = _hermitian_margin(g.coeff, tol)
     if low < -cutoff:
         raise NotCompletelyPositive(f"coefficient matrix has eigenvalue {low:.6e} < -{cutoff:.1e}")
-    vals, vecs = hermitian_eig(g.coeff)
+    vals, vecs = np.linalg.eigh(sym)
     drop = 1e-12 * max(1.0, float(vals[-1]))
+    d = g.dim
+    flat = g.basis.elements.reshape(-1, d * d)
     jump_ops = []
     for lam, col in zip(vals, vecs.T):
         if lam <= drop:
             continue
-        v = np.sqrt(lam) * np.tensordot(col, g.basis.elements, axes=1)
+        v = np.sqrt(lam) * (col @ flat).reshape(d, d)
         jump_ops.append(v)
-    return LindbladGenerator(dim=g.dim, hamiltonian=g.hamiltonian, jump_ops=tuple(jump_ops))
+    return LindbladGenerator(dim=d, hamiltonian=g.hamiltonian, jump_ops=tuple(jump_ops))
 
 
 def _generator_matrix(h: np.ndarray, coeff: np.ndarray, ops: np.ndarray) -> np.ndarray:
@@ -147,10 +164,11 @@ def _generator_matrix(h: np.ndarray, coeff: np.ndarray, ops: np.ndarray) -> np.n
     matrix is ``I kron K + conj(K) kron I + sum_b conj(A_b) kron X_b``.
     """
     n, d = ops.shape[:2]
-    x = np.tensordot(coeff, ops, axes=(0, 0))
+    # Plain matrix products on reshaped stacks, the products np.tensordot forms.
+    x = coeff.T @ ops.reshape(n, d * d)
     ops_bar = ops.conj()
-    k = -1j * h - 0.5 * np.tensordot(ops_bar, x, axes=([0, 1], [0, 1]))
-    jumps = ops_bar.reshape(n, d * d).T @ x.reshape(n, d * d)
+    k = -1j * h - 0.5 * (ops_bar.reshape(n * d, d).T @ x.reshape(n * d, d))
+    jumps = ops_bar.reshape(n, d * d).T @ x
     out = jumps.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     eye = np.eye(d)
     # I kron K + conj(K) kron I by broadcasting: exact 0/1 products, bitwise equal to np.kron.

@@ -9,7 +9,9 @@ Conventions used throughout the package:
   :class:`NonSquare` if not square, :class:`ShapeMismatch` if not ``dim x dim``.
 * Hermiticity is checked relative to ``max(1, ||M||_F)`` with tolerance
   ``HERMITICITY_TOL``; every positivity decision, on ``C`` or on a state,
-  is :func:`psd_margin`: ``lambda_min(M) >= -eps_pos(M, tol)``.
+  is :func:`psd_margin`: ``lambda_min(M) >= -eps_pos(M, tol)``.  A matrix
+  that a generator or a state has already validated goes straight to its
+  unchecked core, :func:`_hermitian_margin`, with the same bits.
 * :func:`matrix_exp` is numpy-only scaling and squaring with the degree-30
   truncated Taylor series, whose backward error stays below the unit
   roundoff for ``||A||_1 <= theta_30 = 3.54`` (A. H. Al-Mohy and N. J. Higham,
@@ -55,8 +57,16 @@ _THETA30 = 3.5396663487436895
 
 
 def fro_norm(m: np.ndarray) -> float:
-    """Frobenius norm as a plain float."""
-    return float(np.linalg.norm(m))
+    """Frobenius norm as a plain float, bitwise equal to ``np.linalg.norm(m)``.
+
+    A complex array takes numpy's own fast path without its argument
+    handling, ``sqrt(re . re + im . im)`` over the entries in memory order.
+    """
+    x = np.asarray(m).ravel(order="K")
+    if x.dtype.kind != "c":
+        return float(np.linalg.norm(x))
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def eps_pos(m: np.ndarray, tol: float = POSITIVITY_TOL) -> float:
@@ -72,7 +82,7 @@ def require_square(m, name: str = "matrix", dim: int | None = None) -> np.ndarra
         raise NonSquare(f"{name} must be a nonempty square matrix, got shape {arr.shape}")
     if dim is not None and arr.shape != (dim, dim):
         raise ShapeMismatch(f"{name} must be {dim}x{dim}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFinite(f"{name} contains non-finite entries")
     return arr
 
@@ -114,15 +124,29 @@ def min_eigenvalue(m) -> float:
     return float(np.linalg.eigvalsh(_symmetrized(m))[0])
 
 
+def _hermitian_margin(arr: np.ndarray, tol: float = POSITIVITY_TOL):
+    """``(lambda_min, cutoff, (arr + arr^dagger) / 2)`` of a matrix already
+    validated by :func:`require_hermitian`, which is not checked again.
+
+    ``lambda_min`` is the smallest eigenvalue of the symmetrized matrix, the
+    cutoff ``eps_pos(arr, tol)`` of ``arr`` itself; the symmetrized matrix is
+    returned for an eigendecomposition of the same matrix.
+    """
+    sym = (arr + arr.conj().T) / 2.0
+    return float(np.linalg.eigvalsh(sym)[0]), eps_pos(arr, tol), sym
+
+
 def psd_margin(m, tol: float = POSITIVITY_TOL):
     """``(lambda_min, cutoff) = (min_eigenvalue(m), eps_pos(m, tol))``; PSD iff ``lambda_min >= -cutoff``.
 
-    A stack ``(n, k, k)`` must be finite and Hermitian already: it is neither checked
+    A matrix goes through :func:`require_hermitian` first, and both results
+    are those of the complex matrix it returns, as a generator stores it.  A stack
+    ``(n, k, k)`` must be finite and Hermitian already: it is neither checked
     nor symmetrized again, and both results are length-``n`` arrays.
     """
     arr = np.asarray(m)
     if arr.ndim != 3:
-        return min_eigenvalue(arr), eps_pos(arr, tol)
+        return _hermitian_margin(require_hermitian(arr), tol)[:2]
     return np.linalg.eigvalsh(arr)[:, 0], tol * np.maximum(1.0, np.linalg.norm(arr, axis=(1, 2)))
 
 

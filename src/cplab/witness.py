@@ -39,8 +39,8 @@ from .errors import (
 from .generator import GKSGenerator, superoperator_of
 from .linalg import (
     POSITIVITY_TOL,
+    _hermitian_margin,
     fro_norm,
-    hermitian_eig,
     psd_margin,
     require_square,
     similarity_to_transpose,
@@ -116,7 +116,7 @@ def _require_grid(times) -> np.ndarray:
 
 def _require_orthogonal(phi, psi) -> None:
     overlap = abs(np.vdot(phi, psi))
-    if overlap > 1e-10 * max(1.0, np.linalg.norm(phi) * np.linalg.norm(psi)):
+    if overlap > 1e-10 * max(1.0, fro_norm(phi) * fro_norm(psi)):
         raise NotOrthogonal(f"|<phi|psi>| = {overlap:.3e}, pair must be orthogonal")
 
 
@@ -129,7 +129,7 @@ def _pair_vectors(phi, psi, dim_sq: int):
         )
     if not (np.all(np.isfinite(phi_v)) and np.all(np.isfinite(psi_v))):
         raise NonFinite("pair vectors contain non-finite entries")
-    if np.linalg.norm(psi_v) <= 0.0 or np.linalg.norm(phi_v) <= 0.0:
+    if fro_norm(psi_v) <= 0.0 or fro_norm(phi_v) <= 0.0:
         raise ZeroVector("pair vectors must be nonzero")
     return phi_v, psi_v
 
@@ -145,6 +145,11 @@ def overlap_rate(g: GKSGenerator, phi, psi) -> float:
     """
     phi_v, psi_v = _pair_vectors(phi, psi, g.dim * g.dim)
     _require_orthogonal(phi_v, psi_v)
+    return _overlap_rate(g, phi_v, psi_v)
+
+
+def _overlap_rate(g: GKSGenerator, phi_v: np.ndarray, psi_v: np.ndarray) -> float:
+    """:func:`overlap_rate` of complex vectors of length ``d^2``, unchecked."""
     d = g.dim
     base = superoperator_of(g).matrix
     split = _split_factors(np.outer(psi_v, psi_v.conj()), d)
@@ -157,7 +162,8 @@ def direction_operator(w, basis: OperatorBasis) -> np.ndarray:
     w_arr = np.asarray(w, dtype=complex).reshape(-1)
     if w_arr.size != basis.size:
         raise ShapeMismatch(f"direction must have length {basis.size}, got {w_arr.size}")
-    return 0.5 * np.tensordot(w_arr, basis.elements, axes=1)
+    d = basis.dim
+    return 0.5 * (w_arr @ basis.elements.reshape(-1, d * d)).reshape(d, d)
 
 
 def _candidate_from_direction(
@@ -175,8 +181,8 @@ def _candidate_from_direction(
     psi_m = psi_dag.conj().T
     phi_v = phi_m.reshape(-1)
     psi_v = psi_m.reshape(-1)
-    value = overlap_rate(g, phi_v, psi_v)
-    quad = float(np.vdot(w, np.asarray(g.coeff) @ w).real)
+    value = _overlap_rate(g, phi_v, psi_v)
+    quad = float(np.vdot(w, g.coeff @ w).real)
     signed = psi_dag @ phi_m
     sign = 1 if fro_norm(signed - w_op.T) <= fro_norm(signed + w_op.T) else -1
     return WitnessCandidate(
@@ -201,17 +207,19 @@ def construct_witness(
     """Build a witness for the most negative direction of the coefficient matrix.
 
     Returns :class:`NoNegativeDirection` exactly when :func:`psd_margin`
-    finds ``C`` PSD at ``tol``, the test of :func:`is_completely_positive`.
+    finds ``C`` PSD at ``tol``, the test of :func:`is_completely_positive`;
+    ``C`` is read as validated by the generator, and the direction is the
+    first eigenvector of the symmetrized ``C`` that the test decided on.
     This is the library's one witness path.  ``phi_matrix`` overrides the
     similarity solver with a fixed coefficient matrix (it must conjugate
     ``W`` into ``+-W^T``), as the CLI's ``--bell-fixture`` does with
     :func:`bell_phi_matrix`; ties between degenerate eigenvalues resolve to
     the first column of the ascending eigendecomposition.
     """
-    low, cutoff = psd_margin(g.coeff, tol)
+    low, cutoff, sym = _hermitian_margin(g.coeff, tol)
     if low >= -cutoff:
         return NoNegativeDirection(min_coeff_eigenvalue=low)
-    w = hermitian_eig(g.coeff)[1][:, 0]
+    w = np.linalg.eigh(sym)[1][:, 0]
     return _candidate_from_direction(g, w, rng, phi_matrix)
 
 
@@ -239,7 +247,7 @@ def negativity_scan(
     """
     times = _require_grid(DEFAULT_SCAN_GRID if t_grid is None else t_grid)
     phi_v, psi_v = _pair_vectors(phi, psi, g.dim * g.dim)
-    psi_v = psi_v / np.linalg.norm(psi_v)
+    psi_v = psi_v / fro_norm(psi_v)
     states = doubled_evolution(g, np.outer(psi_v, psi_v.conj()), times)
     herm = (states + states.conj().transpose(0, 2, 1)) / 2.0
     min_eigs, cutoffs = psd_margin(herm, tol)

@@ -4,12 +4,20 @@ import pytest
 from cplab import (
     GKSGenerator,
     LindbladGenerator,
+    NoNegativeDirection,
     OperatorBasis,
     Superoperator,
+    WitnessCandidate,
+    construct_witness,
+    dynamics,
+    generator,
     gks_to_lindblad,
+    is_completely_positive,
+    linalg,
     lindblad_to_gks,
     standard_basis,
     superoperator_of,
+    witness,
 )
 from cplab.errors import (
     NonFinite,
@@ -28,6 +36,7 @@ from helpers import (
     random_generator,
     random_hermitian,
     random_psd,
+    random_traceless_hermitian,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -140,6 +149,73 @@ class TestGeneratorValidation:
     def test_rejects_traced_jump(self):
         with pytest.raises(NonTracelessJump):
             LindbladGenerator(dim=2, hamiltonian=np.zeros((2, 2)), jump_ops=(np.eye(2),))
+
+
+class TestReadOnlyCopies:
+    """Generators keep read-only copies of their validated arrays."""
+
+    def test_gks_ignores_writes_to_the_callers_arrays(self):
+        rng = np.random.default_rng(26)
+        h, c = random_traceless_hermitian(3, rng), random_hermitian(8, rng)
+        g = GKSGenerator(dim=3, hamiltonian=h, coeff=c, basis=standard_basis(3))
+        h_before, c_before = h.copy(), c.copy()
+        matrix_before = superoperator_of(g).matrix
+        c[0, 1] = 5.0
+        h[0, 1] = 7.0
+        np.testing.assert_array_equal(g.coeff, c_before)
+        np.testing.assert_array_equal(g.hamiltonian, h_before)
+        np.testing.assert_array_equal(superoperator_of(g).matrix, matrix_before)
+        with pytest.raises(ValueError):
+            g.coeff[0, 1] = 5.0
+        with pytest.raises(ValueError):
+            g.hamiltonian[0, 1] = 7.0
+
+    def test_lindblad_ignores_writes_to_the_callers_arrays(self):
+        rng = np.random.default_rng(27)
+        h = random_traceless_hermitian(3, rng)
+        v = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        v -= np.trace(v) / 3 * np.eye(3)
+        l = LindbladGenerator(dim=3, hamiltonian=h, jump_ops=(v,))
+        h_before, v_before = h.copy(), v.copy()
+        matrix_before = superoperator_of(lindblad_to_gks(l, standard_basis(3))).matrix
+        v[0, 1] = 5.0
+        h[0, 1] = 7.0
+        np.testing.assert_array_equal(l.jump_ops[0], v_before)
+        np.testing.assert_array_equal(l.hamiltonian, h_before)
+        rebuilt = superoperator_of(lindblad_to_gks(l, standard_basis(3))).matrix
+        np.testing.assert_array_equal(rebuilt, matrix_before)
+        with pytest.raises(ValueError):
+            l.jump_ops[0][0, 1] = 5.0
+        with pytest.raises(ValueError):
+            l.hamiltonian[0, 1] = 7.0
+
+
+def test_verdict_witness_and_convert_do_not_recheck_coeff(monkeypatch):
+    """``C`` is validated once, when the generator is built: the verdict, the
+    witness and the conversion never hand ``g.coeff`` to ``require_hermitian``."""
+    seen = []
+    original = linalg.require_hermitian
+
+    def recording(m, *args, **kwargs):
+        seen.append(m)
+        return original(m, *args, **kwargs)
+
+    rng = np.random.default_rng(28)
+    n = 8
+    negative = random_generator(3, rng, coeff=random_psd(n, rng) - 20.0 * np.eye(n))
+    positive = random_generator(3, rng, coeff=random_psd(n, rng))
+    for module in (linalg, generator, dynamics, witness):
+        if hasattr(module, "require_hermitian"):
+            monkeypatch.setattr(module, "require_hermitian", recording)
+
+    assert not is_completely_positive(negative).is_cp
+    assert isinstance(construct_witness(negative), WitnessCandidate)
+    assert is_completely_positive(positive).is_cp
+    assert isinstance(construct_witness(positive), NoNegativeDirection)
+    gks_to_lindblad(positive)
+    assert seen, "the patched require_hermitian was never reached"
+    for g in (negative, positive):
+        assert not any(isinstance(m, np.ndarray) and np.shares_memory(m, g.coeff) for m in seen)
 
 
 class TestLindbladToGks:
@@ -268,9 +344,20 @@ class TestSuperoperator:
             np.testing.assert_allclose(out, naive, rtol=0, atol=atol)
             np.testing.assert_allclose(out, apply_generator(g, rho), rtol=0, atol=atol)
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_bitwise_equal_to_kron_formula(self, d):
         g = random_generator(d, np.random.default_rng(36 + d))
+        ref = generator_matrix_kron(g.hamiltonian, g.coeff, g.basis.elements)
+        assert np.array_equal(superoperator_of(g).matrix, ref)
+
+    def test_bitwise_equal_to_kron_formula_with_anti_hermitian_part(self):
+        """A stored ``C`` with a ``1e-12`` anti-Hermitian part, inside the
+        Hermiticity tolerance, is built from as it is."""
+        rng = np.random.default_rng(35)
+        n = 15
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        g = random_generator(4, rng, coeff=random_hermitian(n, rng) + 1e-12 * (a - a.conj().T) / 2)
+        assert np.max(np.abs(g.coeff - g.coeff.conj().T)) > 1e-13
         ref = generator_matrix_kron(g.hamiltonian, g.coeff, g.basis.elements)
         assert np.array_equal(superoperator_of(g).matrix, ref)
 

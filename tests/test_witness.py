@@ -155,6 +155,20 @@ class TestTraceForm:
             overlap_rate_trace_form(g.coeff, g.basis, np.eye(2), np.eye(2))
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_direction_operator_bitwise_equal_to_tensordot(d):
+    """``W`` from one matrix product equals its ``np.tensordot`` form bit for bit,
+    also for a strided eigenvector column, the direction the witness passes."""
+    rng = np.random.default_rng(70 + d)
+    basis = standard_basis(d)
+    n = basis.size
+    dense = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    column = np.linalg.eigh(random_hermitian(n, rng))[1][:, 0]
+    for w in (dense, column):
+        ref = 0.5 * np.tensordot(w, basis.elements, axes=1)
+        assert np.array_equal(direction_operator(w, basis), ref)
+
+
 class TestConstructWitness:
     def test_diag_negative_direction(self):
         g = _neg_generator()
