@@ -3,20 +3,30 @@
 The canonical basis is the generalized Gell-Mann family, ordered symmetric
 pairs first, then antisymmetric pairs, then diagonal elements, each scaled
 to unit Hilbert-Schmidt norm (``Tr F_a^dagger F_b = delta_ab``).  For d = 2
-this reproduces the Pauli matrices divided by sqrt(2).
+this reproduces the Pauli matrices divided by sqrt(2).  It depends only on
+d, so :func:`standard_basis` builds it once per d and hands out that one
+read-only basis.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidDimension, NonFinite, ShapeMismatch
-from .linalg import require_square
+from .linalg import _frozen, require_square
 
 #: Trace / Gram deviations beyond this make :class:`OperatorBasis` refuse the elements.
 BASIS_TOL = 1e-10
+
+#: Dimensions whose per-d constants stay built (standard basis, Choi
+#: complement).  A verdict sweep cycles through d = 2..6, so fewer slots would
+#: rebuild on every call; no bound would keep every large basis ever built
+#: (d = 60 takes 207 MB).
+_CACHED_DIMS = 8
 
 
 @dataclass(frozen=True)
@@ -24,7 +34,9 @@ class OperatorBasis:
     """The d^2 - 1 traceless elements of an orthonormal operator basis.
 
     ``elements`` is a stack of shape ``(d^2 - 1, d, d)``; the implied final
-    element completing the orthonormal set is ``I_d / sqrt(d)``.
+    element completing the orthonormal set is ``I_d / sqrt(d)``.  It is stored
+    as a read-only complex copy of the validated stack, so a later write to
+    the caller's array cannot reach the basis, and one basis can be shared.
     """
 
     dim: int
@@ -50,7 +62,7 @@ class OperatorBasis:
                 "basis violates orthonormality/tracelessness: "
                 f"max trace deviation {max_trace:.3e}, max Gram deviation {max_gram:.3e}"
             )
-        object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "elements", _frozen(elems))
 
     @property
     def size(self) -> int:
@@ -72,10 +84,21 @@ def standard_basis(d: int) -> OperatorBasis:
     """Generalized Gell-Mann basis for dimension ``d`` (deterministic).
 
     Ordering: symmetric off-diagonal pairs (j < k lexicographic), then the
-    antisymmetric partners, then the d - 1 diagonal elements.
+    antisymmetric partners, then the d - 1 diagonal elements.  ``d`` may be
+    any integer type; it is normalized with ``operator.index``.  Each int
+    ``d`` gets one shared basis with read-only elements, built on first use
+    and kept for the last ``_CACHED_DIMS`` dimensions used; ``d < 2`` raises
+    :class:`InvalidDimension` on every call.
     """
+    d = operator.index(d)
     if d < 2:
         raise InvalidDimension(f"operator basis needs d >= 2, got {d}")
+    return _gell_mann(d)
+
+
+@functools.lru_cache(maxsize=_CACHED_DIMS)
+def _gell_mann(d: int) -> OperatorBasis:
+    """The basis of :func:`standard_basis`, built for an int ``d >= 2``."""
     elements = []
     for j in range(d):
         for k in range(j + 1, d):

@@ -25,13 +25,23 @@ by reshuffling the superoperator's entries, so integer fixtures stay exact.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import _CACHED_DIMS
 from .errors import InconsistentVerdict, InvalidState, ZeroVector
 from .generator import GKSGenerator, Superoperator, _generator_matrix, superoperator_of
-from .linalg import POSITIVITY_TOL, _hermitian_margin, fro_norm, matrix_exp, min_eigenvalue, require_hermitian
+from .linalg import (
+    POSITIVITY_TOL,
+    _frozen,
+    _hermitian_margin,
+    fro_norm,
+    matrix_exp,
+    min_eigenvalue,
+    require_hermitian,
+)
 
 #: Largest ``|lambda_min(compressed Choi) - lambda_min(C)|``, relative to
 #: ``||Choi||_F``, that counts as roundoff; more means a bug.
@@ -40,7 +50,10 @@ _CHOI_AGREEMENT = 1e-10
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace state, positive semidefinite by :func:`psd_margin` at ``tol``."""
+    """Hermitian, unit-trace state, positive semidefinite by :func:`psd_margin` at ``tol``.
+
+    ``matrix`` is stored as a read-only complex copy of the validated array.
+    """
 
     dim: int
     matrix: np.ndarray
@@ -54,7 +67,7 @@ class DensityMatrix:
         low, cutoff, _ = _hermitian_margin(arr, self.tol)
         if low < -cutoff:
             raise InvalidState(f"density matrix has eigenvalue {low:.3e} below -eps_pos")
-        object.__setattr__(self, "matrix", arr)
+        object.__setattr__(self, "matrix", _frozen(arr))
 
     @classmethod
     def from_pure(cls, vector, tol: float = POSITIVITY_TOL) -> "DensityMatrix":
@@ -146,6 +159,17 @@ def choi_matrix(m: Superoperator) -> np.ndarray:
     return m.matrix.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
 
+@functools.lru_cache(maxsize=_CACHED_DIMS)
+def _entangled_complement(d: int) -> np.ndarray:
+    """Read-only ``d^2 x (d^2 - 1)`` orthonormal columns spanning the complement
+    of the maximally entangled vector ``vec(I) / sqrt(d)``, built once per ``d``."""
+    entangled = np.eye(d).reshape(1, d * d) / np.sqrt(d)
+    # The rows of V^H after the first span the complement of ``entangled``.
+    complement = np.linalg.svd(entangled)[2][1:].T
+    complement.flags.writeable = False
+    return complement
+
+
 def is_completely_positive(g: GKSGenerator, tol: float = POSITIVITY_TOL) -> CPVerdict:
     """Decide complete positivity of the semigroup generated by ``g``.
 
@@ -157,14 +181,13 @@ def is_completely_positive(g: GKSGenerator, tol: float = POSITIVITY_TOL) -> CPVe
     positivity); its smallest eigenvalue is reported as
     ``min_choi_eigenvalue``.  It makes no second decision at the cutoff: if it
     differs from ``lambda_min(C)`` by more than ``1e-10 * ||Choi||_F``, the
-    verdict raises :class:`InconsistentVerdict`.
+    verdict raises :class:`InconsistentVerdict`.  The complement basis
+    depends only on ``d``: one SVD of the entangled vector per ``d`` builds
+    it, and later verdicts at that ``d`` reuse the same read-only columns.
     """
-    d = g.dim
     min_coeff, cutoff, _ = _hermitian_margin(g.coeff, tol)
     choi = choi_matrix(superoperator_of(g))
-    entangled = np.eye(d).reshape(1, d * d) / np.sqrt(d)
-    # The rows of V^H after the first span the complement of ``entangled``.
-    complement = np.linalg.svd(entangled)[2][1:].T
+    complement = _entangled_complement(g.dim)
     min_choi = min_eigenvalue(complement.T @ choi @ complement)
     if abs(min_choi - min_coeff) > _CHOI_AGREEMENT * fro_norm(choi):
         raise InconsistentVerdict(

@@ -24,6 +24,7 @@ from .errors import NonTraceless, NonTracelessJump, NotCompletelyPositive, Shape
 from .linalg import (
     HERMITICITY_TOL,
     POSITIVITY_TOL,
+    _frozen,
     _hermitian_margin,
     fro_norm,
     require_hermitian,
@@ -43,14 +44,6 @@ def _require_traceless(m: np.ndarray, name: str, error=NonTraceless) -> np.ndarr
 def _hamiltonian(h, dim: int) -> np.ndarray:
     """``h`` as a traceless Hermitian ``dim x dim`` matrix, or the typed error."""
     return _require_traceless(require_hermitian(h, "hamiltonian", dim), "hamiltonian")
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    """A read-only copy of a validated array: later writes to the caller's
-    array cannot reach the generator, and the generator's cannot be written."""
-    out = arr.copy()
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -103,14 +96,15 @@ class LindbladGenerator:
 
 @dataclass(frozen=True)
 class Superoperator:
-    """Matrix of a linear map on vectorized ``dim x dim`` matrices."""
+    """Matrix of a linear map on vectorized ``dim x dim`` matrices, stored as
+    a read-only complex copy of the validated array."""
 
     dim: int
     matrix: np.ndarray
 
     def __post_init__(self):
         arr = require_square(self.matrix, "superoperator matrix", self.dim * self.dim)
-        object.__setattr__(self, "matrix", arr)
+        object.__setattr__(self, "matrix", _frozen(arr))
 
     def apply(self, rho) -> np.ndarray:
         arr = require_square(rho, "rho", self.dim)

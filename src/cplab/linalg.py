@@ -87,6 +87,14 @@ def require_square(m, name: str = "matrix", dim: int | None = None) -> np.ndarra
     return arr
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """A read-only copy of a validated array: later writes to the caller's
+    array cannot reach the holder, and the holder's cannot be written."""
+    out = arr.copy()
+    out.flags.writeable = False
+    return out
+
+
 def hermiticity_deviation(m: np.ndarray) -> float:
     """Relative deviation ``||M - M^dagger||_F / max(1, ||M||_F)``."""
     return fro_norm(m - m.conj().T) / max(1.0, fro_norm(m))

@@ -39,6 +39,7 @@ from .errors import (
 from .generator import GKSGenerator, superoperator_of
 from .linalg import (
     POSITIVITY_TOL,
+    _frozen,
     _hermitian_margin,
     fro_norm,
     psd_margin,
@@ -112,6 +113,10 @@ def _require_grid(times) -> np.ndarray:
     if t.size == 0 or not np.all(np.isfinite(t) & (t >= 0)) or np.any(np.diff(t) <= 0):
         raise InvalidGrid("time grid must be nonempty, finite, nonnegative and strictly increasing")
     return t
+
+
+#: :data:`DEFAULT_SCAN_GRID`, validated once: the read-only times of every default scan.
+_DEFAULT_TIMES = _frozen(_require_grid(DEFAULT_SCAN_GRID))
 
 
 def _require_orthogonal(phi, psi) -> None:
@@ -244,8 +249,10 @@ def negativity_scan(
     ``psi`` is normalized before forming the projector; ``phi`` enters the
     overlap values unnormalized.  ``first_negative_time`` is the earliest
     grid time whose evolved state :func:`psd_margin` finds not PSD at ``tol``.
+    Without ``t_grid`` the scan runs on :data:`DEFAULT_SCAN_GRID`, checked
+    once at import, and ``times`` is that shared read-only array.
     """
-    times = _require_grid(DEFAULT_SCAN_GRID if t_grid is None else t_grid)
+    times = _DEFAULT_TIMES if t_grid is None else _require_grid(t_grid)
     phi_v, psi_v = _pair_vectors(phi, psi, g.dim * g.dim)
     psi_v = psi_v / fro_norm(psi_v)
     states = doubled_evolution(g, np.outer(psi_v, psi_v.conj()), times)

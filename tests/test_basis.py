@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cplab import OperatorBasis, standard_basis
+from cplab import OperatorBasis, basis, standard_basis
 from cplab.errors import InvalidDimension, NonFinite, ShapeMismatch
 
 from helpers import random_hermitian
@@ -40,6 +40,36 @@ def test_deterministic_output():
 def test_invalid_dimension():
     with pytest.raises(InvalidDimension):
         standard_basis(1)
+
+
+class TestPerDimensionConstant:
+    """``standard_basis`` builds each dimension's basis once and shares it read-only."""
+
+    def test_one_basis_per_dimension(self):
+        assert standard_basis(3) is standard_basis(3)
+
+    def test_numpy_integer_dimension_shares_the_int_basis(self):
+        shared = standard_basis(np.int64(3))
+        assert shared is standard_basis(3)
+        assert type(shared.dim) is int
+
+    @pytest.mark.parametrize("d", [1, 0, np.int64(1)])
+    def test_invalid_dimension_raises_on_every_call(self, d):
+        for _ in range(2):
+            with pytest.raises(InvalidDimension):
+                standard_basis(d)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_shared_basis_bitwise_equal_to_a_fresh_build(self, d):
+        fresh = basis._gell_mann.__wrapped__(d)
+        assert fresh is not standard_basis(d)
+        np.testing.assert_array_equal(
+            standard_basis(d).elements.view(float), fresh.elements.view(float)
+        )
+
+    def test_shared_elements_are_read_only(self):
+        with pytest.raises(ValueError):
+            standard_basis(3).elements[0, 0, 1] = 7.0
 
 
 class TestValidateBasis:
@@ -82,6 +112,14 @@ class TestValidateBasis:
 
 
 class TestOperatorBasis:
+    def test_ignores_writes_to_the_callers_elements(self):
+        elements = standard_basis(2).elements.copy()
+        b = OperatorBasis(dim=2, elements=elements)
+        elements[0, 0, 1] = 7.0
+        np.testing.assert_array_equal(b.elements, standard_basis(2).elements)
+        with pytest.raises(ValueError):
+            b.elements[0, 0, 1] = 7.0
+
     def test_rejects_wrong_count(self):
         with pytest.raises(ShapeMismatch):
             OperatorBasis(dim=2, elements=standard_basis(2).elements[:2])

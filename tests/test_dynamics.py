@@ -20,7 +20,7 @@ from cplab import (
     superoperator_of,
     tensor_extension,
 )
-from cplab import generator
+from cplab import dynamics, generator
 from cplab.errors import (
     InconsistentVerdict,
     InvalidState,
@@ -269,6 +269,21 @@ class TestIsCompletelyPositive:
                 assert verdict.min_coeff_eigenvalue == pytest.approx(-0.5, abs=1e-12)
                 assert verdict.min_choi_eigenvalue == pytest.approx(-0.5, abs=1e-12)
 
+    def test_entangled_complement_is_built_once_per_dimension(self, monkeypatch):
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics.np.linalg, "svd", recording)
+        dynamics._entangled_complement.cache_clear()
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            is_completely_positive(random_generator(3, rng))
+        assert shapes.count((1, 9)) == 1
+
     def test_choi_cross_check_catches_a_wrong_superoperator(self, monkeypatch):
         # A superoperator built from 1.01 C moves the compressed Choi
         # spectrum by 1% of lambda_min(C), far beyond roundoff, whichever
@@ -359,3 +374,11 @@ class TestDensityMatrix:
     def test_rejects_negative_state(self):
         with pytest.raises(InvalidState):
             DensityMatrix(dim=2, matrix=np.diag([1.5, -0.5]))
+
+    def test_ignores_writes_to_the_callers_matrix(self):
+        rho = np.eye(2, dtype=complex) / 2
+        state = DensityMatrix(dim=2, matrix=rho)
+        rho[0, 0] = -5.0
+        np.testing.assert_array_equal(state.matrix, np.eye(2) / 2)
+        with pytest.raises(ValueError):
+            state.matrix[0, 0] = -5.0

@@ -152,7 +152,7 @@ class TestGeneratorValidation:
 
 
 class TestReadOnlyCopies:
-    """Generators keep read-only copies of their validated arrays."""
+    """Generators and superoperators keep read-only copies of their validated arrays."""
 
     def test_gks_ignores_writes_to_the_callers_arrays(self):
         rng = np.random.default_rng(26)
@@ -188,6 +188,14 @@ class TestReadOnlyCopies:
             l.jump_ops[0][0, 1] = 5.0
         with pytest.raises(ValueError):
             l.hamiltonian[0, 1] = 7.0
+
+    def test_superoperator_ignores_writes_to_the_callers_matrix(self):
+        m = np.eye(4, dtype=complex)
+        s = Superoperator(dim=2, matrix=m)
+        m[0, 0] = np.nan
+        np.testing.assert_array_equal(s.matrix, np.eye(4))
+        with pytest.raises(ValueError):
+            s.matrix[0, 0] = np.nan
 
 
 def test_verdict_witness_and_convert_do_not_recheck_coeff(monkeypatch):

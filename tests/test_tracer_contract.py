@@ -10,7 +10,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import cplab
+import cplab.cli
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -35,3 +38,21 @@ def test_every_traced_binding_resolves():
 def test_every_public_name_resolves():
     missing = [name for name in cplab.__all__ if not hasattr(cplab, name)]
     assert not missing
+
+
+def test_tracer_wraps_every_binding_of_the_shared_basis():
+    """``standard_basis`` hands out one memoized basis per d; a tracer still
+    replaces every binding that holds it and counts every call."""
+    tracer = _load_tracer()
+    holders = (cplab, cplab.basis, cplab.cli)
+    original = cplab.basis.standard_basis
+    assert all(h.standard_basis is original for h in holders)
+    with tracer.Tracer() as t:
+        wrapper = cplab.standard_basis
+        assert wrapper is not original
+        assert all(h.standard_basis is wrapper for h in holders)
+        shared = cplab.standard_basis(3)
+        assert cplab.basis.standard_basis(3) is shared
+        assert cplab.cli.standard_basis(np.int64(3)) is shared
+    assert t.stats["basis.standard_basis"]["calls"] == 3
+    assert all(h.standard_basis is original for h in holders)

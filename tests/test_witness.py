@@ -18,6 +18,7 @@ from cplab import (
     similarity_to_transpose,
     standard_basis,
     tensor_extension,
+    witness,
 )
 from cplab.errors import (
     InconsistentVerdict,
@@ -302,6 +303,17 @@ class TestNegativityScan:
         for grid in ([], [-0.1, 0.2], [0.3, 0.2], [0.1, 0.1]):
             with pytest.raises(InvalidGrid):
                 negativity_scan(g, psi, phi, t_grid=grid)
+
+    def test_default_grid_is_validated_once(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(witness, "_require_grid", lambda t: checked.append(t))
+        g = _neg_generator()
+        candidate = construct_witness(g, rng=np.random.default_rng(11))
+        scan = negativity_scan(g, candidate.psi, candidate.phi)
+        assert not checked
+        np.testing.assert_array_equal(scan.times, witness.DEFAULT_SCAN_GRID)
+        with pytest.raises(ValueError):
+            scan.times[0] = 0.0
 
     def test_non_finite_grids_rejected(self):
         g = _neg_generator()
