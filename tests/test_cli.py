@@ -52,21 +52,39 @@ def _canonical(node, digits=9):
     return node
 
 
+def _data(name):
+    return str(DATA / name)
+
+
+NEGATIVE = ["--config", _data("config_negative.json")]
+DEPOLARIZING = ["--config", _data("config_depolarizing.json")]
+
 GOLDEN_CASES = [
-    ("check-cp", "config_depolarizing.json", "golden_checkcp_depolarizing.json", 0),
-    ("check-cp", "config_negative.json", "golden_checkcp_negative.json", 2),
-    ("witness", "config_negative.json", "golden_witness_negative.json", 2),
-    ("scan", "config_negative.json", "golden_scan_negative.json", 2),
-    ("convert", "config_lowering.json", "golden_convert_lowering.json", 0),
+    ("golden_checkcp_depolarizing.json", ["check-cp", *DEPOLARIZING], 0),
+    ("golden_checkcp_negative.json", ["check-cp", *NEGATIVE], 2),
+    ("golden_witness_negative.json", ["witness", *NEGATIVE], 2),
+    ("golden_scan_negative.json", ["scan", *NEGATIVE], 2),
+    ("golden_convert_lowering.json", ["convert", "--config", _data("config_lowering.json")], 0),
+    ("golden_witness_depolarizing.json", ["witness", *DEPOLARIZING], 0),
+    ("golden_convert_depolarizing.json", ["convert", *DEPOLARIZING], 0),
+    ("golden_witness_negative_bell.json", ["witness", *NEGATIVE, "--bell-fixture"], 2),
+    (
+        "golden_evolve_negative.json",
+        ["evolve", *NEGATIVE, "--time", "0.3", "--state", _data("state_d2.json")],
+        0,
+    ),
+    (
+        "golden_evolve_meson_negative.json",
+        ["evolve", *NEGATIVE, "--time", "0.3", "--preset", "meson-d2"],
+        2,
+    ),
 ]
 
 
-@pytest.mark.parametrize(
-    "command, config, golden, exit_code", GOLDEN_CASES, ids=[case[2] for case in GOLDEN_CASES]
-)
-def test_golden_report(command, config, golden, exit_code, capsys):
+@pytest.mark.parametrize("golden, argv, exit_code", GOLDEN_CASES, ids=[case[0] for case in GOLDEN_CASES])
+def test_golden_report(golden, argv, exit_code, capsys):
     """Reports match their checked-in goldens up to last-ulp rounding."""
-    code, out, _ = _run([command, "--config", str(DATA / config)], capsys)
+    code, out, _ = _run(argv, capsys)
     assert code == exit_code
     expected = json.loads((DATA / golden).read_text())
     assert _canonical(json.loads(out)) == _canonical(expected)
