@@ -29,7 +29,19 @@ BASIS_TOL = 1e-10
 _CACHED_DIMS = 8
 
 
-@dataclass(frozen=True)
+def _require_dim(d, minimum: int, name: str) -> int:
+    """``d`` as an ``int`` no smaller than ``minimum``; any integer type works
+    (``operator.index``), and anything else raises :class:`InvalidDimension`."""
+    try:
+        d = operator.index(d)
+    except TypeError:
+        raise InvalidDimension(f"{name} needs an integer dimension, got {d!r}") from None
+    if d < minimum:
+        raise InvalidDimension(f"{name} needs d >= {minimum}, got {d}")
+    return d
+
+
+@dataclass(frozen=True, eq=False)
 class OperatorBasis:
     """The d^2 - 1 traceless elements of an orthonormal operator basis.
 
@@ -37,14 +49,14 @@ class OperatorBasis:
     element completing the orthonormal set is ``I_d / sqrt(d)``.  It is stored
     as a read-only complex copy of the validated stack, so a later write to
     the caller's array cannot reach the basis, and one basis can be shared.
+    ``dim`` is stored as an ``int``.  Bases compare by identity.
     """
 
     dim: int
     elements: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise InvalidDimension(f"operator basis needs d >= 2, got {self.dim}")
+        object.__setattr__(self, "dim", _require_dim(self.dim, 2, "operator basis"))
         elems = np.asarray(self.elements, dtype=complex)
         n = self.dim * self.dim - 1
         if elems.shape != (n, self.dim, self.dim):
@@ -74,8 +86,14 @@ class OperatorBasis:
         return np.einsum("aij,ij->a", self.elements.conj(), arr)
 
     def reconstruct(self, trace: complex, coefficients: np.ndarray) -> np.ndarray:
-        """Rebuild ``K`` from its trace and expansion coefficients."""
-        out = np.tensordot(np.asarray(coefficients, dtype=complex), self.elements, axes=1)
+        """Rebuild ``K`` from its trace and its ``d^2 - 1`` expansion coefficients;
+        :class:`ShapeMismatch` for another count, :class:`NonFinite` on NaN/Inf."""
+        coeffs = np.asarray(coefficients, dtype=complex).reshape(-1)
+        if coeffs.size != self.size:
+            raise ShapeMismatch(f"coefficients must have length {self.size}, got {coeffs.size}")
+        if not (np.all(np.isfinite(coeffs)) and np.isfinite(trace)):
+            raise NonFinite("trace or coefficients contain non-finite entries")
+        out = np.tensordot(coeffs, self.elements, axes=1)
         out += (trace / self.dim) * np.eye(self.dim)
         return out
 
@@ -87,13 +105,10 @@ def standard_basis(d: int) -> OperatorBasis:
     antisymmetric partners, then the d - 1 diagonal elements.  ``d`` may be
     any integer type; it is normalized with ``operator.index``.  Each int
     ``d`` gets one shared basis with read-only elements, built on first use
-    and kept for the last ``_CACHED_DIMS`` dimensions used; ``d < 2`` raises
-    :class:`InvalidDimension` on every call.
+    and kept for the last ``_CACHED_DIMS`` dimensions used; a ``d`` that is
+    not an integer or is below 2 raises :class:`InvalidDimension` on every call.
     """
-    d = operator.index(d)
-    if d < 2:
-        raise InvalidDimension(f"operator basis needs d >= 2, got {d}")
-    return _gell_mann(d)
+    return _gell_mann(_require_dim(d, 2, "operator basis"))
 
 
 @functools.lru_cache(maxsize=_CACHED_DIMS)

@@ -9,6 +9,12 @@ Exit codes: 0 = CP / success, 2 = non-CP (or positivity violation)
 certified, 1 = usage or configuration error.  Identical config and seed
 produce byte-identical reports.
 
+The result sections ``verdict``, ``witness``, ``scan``, ``no_negative_direction``
+and the converted ``generator`` hold their result types' fields, written by
+:func:`_to_json`; ``witness`` carries ``psi_matrix_dagger`` in place of
+``psi_matrix``.  Goldens pin these sections, so a new diagnostic belongs in
+an opt-in section of its own, not in these types' fields.
+
 The positivity tolerance resolves as: ``--tol`` flag, then the config
 ``tolerances.positivity`` field, then the ``CPLAB_TOL`` environment
 variable, then the built-in default.
@@ -22,7 +28,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -49,7 +55,6 @@ from .generator import (
 from .linalg import POSITIVITY_TOL, hermiticity_deviation, psd_margin
 from .witness import (
     NoNegativeDirection,
-    WitnessCandidate,
     _require_grid,
     bell_phi_matrix,
     construct_witness,
@@ -68,9 +73,16 @@ EXIT_NOT_CP = 2
 # --------------------------------------------------------------------------
 
 
-def _to_json(a) -> list:
-    """A complex scalar, vector or matrix with every entry as an ``[re, im]`` pair."""
-    return np.stack((np.real(a), np.imag(a)), axis=-1).tolist()
+def _to_json(value):
+    """The one writer of report values: a result dataclass as a dict of its fields, a complex
+    array, scalar or tuple of arrays as ``[re, im]`` pairs, a real array as a list."""
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    if np.iscomplexobj(value):
+        return np.stack((np.real(value), np.imag(value)), axis=-1).tolist()
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
 
 
 def _is_real(value) -> bool:
@@ -148,7 +160,7 @@ def _naming(field: str):
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemConfig:
     """Parsed problem statement: generator, tolerances, seed, grid."""
 
@@ -304,28 +316,9 @@ def _report(config: ProblemConfig, command: str, **sections) -> dict:
     return {"command": command, "provenance": provenance, **sections}
 
 
-def _witness_dict(candidate: WitnessCandidate) -> dict:
-    return {
-        "direction": _to_json(candidate.direction),
-        "direction_operator": _to_json(candidate.direction_operator),
-        "phi_matrix": _to_json(candidate.phi_matrix),
-        "psi_matrix_dagger": _to_json(candidate.psi_matrix.conj().T),
-        "phi": _to_json(candidate.phi),
-        "psi": _to_json(candidate.psi),
-        "value": candidate.value,
-        "quadratic_form": candidate.quadratic_form,
-        "transpose_sign": candidate.transpose_sign,
-    }
-
-
 def _scan_section(config: ProblemConfig, psi, phi) -> dict:
     scan = negativity_scan(config.gks, psi, phi, t_grid=config.grid, tol=config.tolerance)
-    return {
-        "times": [float(t) for t in scan.times],
-        "min_eigenvalues": [float(x) for x in scan.min_eigenvalues],
-        "overlap_values": [float(x) for x in scan.overlap_values],
-        "first_negative_time": scan.first_negative_time,
-    }
+    return _to_json(scan)
 
 
 def _witness_sections(config: ProblemConfig, args) -> dict:
@@ -338,8 +331,12 @@ def _witness_sections(config: ProblemConfig, args) -> dict:
         phi_matrix = bell_phi_matrix()
     result = construct_witness(config.gks, rng=rng, tol=config.tolerance, phi_matrix=phi_matrix)
     if isinstance(result, NoNegativeDirection):
-        return {"no_negative_direction": {"min_coeff_eigenvalue": result.min_coeff_eigenvalue}}
-    sections = {"witness": _witness_dict(result)}
+        return {"no_negative_direction": _to_json(result)}
+    witness = _to_json(result)
+    # Reported as Psi^dagger, the right factor of W = Phi Psi^dagger, rather than as Psi.
+    witness["psi_matrix_dagger"] = _to_json(result.psi_matrix.conj().T)
+    del witness["psi_matrix"]
+    sections = {"witness": witness}
     if args.subcommand != "check-cp":
         sections["scan"] = _scan_section(config, result.psi, result.phi)
     return sections
@@ -361,13 +358,7 @@ def _verdict_report(config: ProblemConfig, args) -> tuple[dict, int]:
         sections = _witness_sections(config, args)
     if verdict.is_cp == ("witness" in sections):
         raise CplabError("report invariant violated: witness presence must match verdict")
-    verdict_dict = {
-        "is_cp": verdict.is_cp,
-        "min_coeff_eigenvalue": verdict.min_coeff_eigenvalue,
-        "min_choi_eigenvalue": verdict.min_choi_eigenvalue,
-        "tolerance": verdict.tolerance,
-    }
-    report = _report(config, args.subcommand, verdict=verdict_dict, **sections)
+    report = _report(config, args.subcommand, verdict=_to_json(verdict), **sections)
     return report, EXIT_OK if verdict.is_cp else EXIT_NOT_CP
 
 
@@ -382,18 +373,16 @@ def cmd_witness(config: ProblemConfig, args) -> tuple[dict, int]:
 def cmd_convert(config: ProblemConfig, args) -> tuple[dict, int]:
     if config.form == "gks":
         converted = gks_to_lindblad(config.gks, tol=config.tolerance)
-        payload = {
-            "form": "lindblad",
-            "hamiltonian": _to_json(converted.hamiltonian),
-            "jump_ops": [_to_json(v) for v in converted.jump_ops],
-        }
+        generator = {"form": "lindblad", **_to_json(converted)}
     else:
-        payload = {
+        # Spelled out: serializing the unreported basis' d^2 - 1 matrices would be waste.
+        generator = {
             "form": "gks",
+            "dim": config.gks.dim,
             "hamiltonian": _to_json(config.gks.hamiltonian),
             "coeff": _to_json(config.gks.coeff),
         }
-    return _report(config, "convert", generator={"dim": config.gks.dim, **payload}), EXIT_OK
+    return _report(config, "convert", generator=generator), EXIT_OK
 
 
 def _load_state(path: str | None, preset: str | None, tol: float) -> DensityMatrix:

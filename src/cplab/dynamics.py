@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _CACHED_DIMS
+from .basis import _CACHED_DIMS, _require_dim
 from .errors import InconsistentVerdict, InvalidState, ZeroVector
 from .generator import GKSGenerator, Superoperator, _generator_matrix, superoperator_of
 from .linalg import (
@@ -48,11 +48,12 @@ from .linalg import (
 _CHOI_AGREEMENT = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace state, positive semidefinite by :func:`psd_margin` at ``tol``.
 
-    ``matrix`` is stored as a read-only complex copy of the validated array.
+    ``matrix`` is stored as a read-only complex copy of the validated array,
+    and ``dim`` as an ``int``.
     """
 
     dim: int
@@ -60,6 +61,7 @@ class DensityMatrix:
     tol: float = POSITIVITY_TOL
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _require_dim(self.dim, 1, "density matrix"))
         arr = require_hermitian(self.matrix, "density matrix", self.dim)
         trace = complex(np.trace(arr))
         if abs(trace - 1.0) > 1e-10:

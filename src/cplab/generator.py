@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import OperatorBasis
+from .basis import OperatorBasis, _require_dim
 from .errors import NonTraceless, NonTracelessJump, NotCompletelyPositive, ShapeMismatch
 from .linalg import (
     HERMITICITY_TOL,
@@ -46,7 +46,7 @@ def _hamiltonian(h, dim: int) -> np.ndarray:
     return _require_traceless(require_hermitian(h, "hamiltonian", dim), "hamiltonian")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GKSGenerator:
     """Generator in coefficient-matrix form.
 
@@ -55,7 +55,8 @@ class GKSGenerator:
     rejected rather than projected out, so caller bugs stay visible.  Both
     are stored as read-only complex copies of the validated arrays, so the
     CP verdict, the witness and :func:`gks_to_lindblad` read ``coeff``
-    without checking it again.
+    without checking it again.  ``dim`` must be an integer >= 2 and is stored
+    as an ``int``; generators compare by identity.
     """
 
     dim: int
@@ -64,6 +65,7 @@ class GKSGenerator:
     basis: OperatorBasis
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _require_dim(self.dim, 2, "generator"))
         h = _hamiltonian(self.hamiltonian, self.dim)
         c = require_hermitian(self.coeff, "coeff", self.dim * self.dim - 1)
         if self.basis.dim != self.dim:
@@ -72,12 +74,12 @@ class GKSGenerator:
         object.__setattr__(self, "coeff", _frozen(c))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LindbladGenerator:
     """Generator in jump-operator form; every ``V_r`` must be traceless.
 
     ``hamiltonian`` and each jump operator are stored as read-only complex
-    copies of the validated arrays.
+    copies of the validated arrays, and ``dim`` (an integer >= 2) as an ``int``.
     """
 
     dim: int
@@ -85,6 +87,7 @@ class LindbladGenerator:
     jump_ops: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _require_dim(self.dim, 2, "generator"))
         h = _hamiltonian(self.hamiltonian, self.dim)
         ops = []
         for r, op in enumerate(self.jump_ops):
@@ -94,15 +97,16 @@ class LindbladGenerator:
         object.__setattr__(self, "jump_ops", tuple(ops))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Superoperator:
     """Matrix of a linear map on vectorized ``dim x dim`` matrices, stored as
-    a read-only complex copy of the validated array."""
+    a read-only complex copy of the validated array; ``dim`` is stored as an ``int``."""
 
     dim: int
     matrix: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _require_dim(self.dim, 1, "superoperator"))
         arr = require_square(self.matrix, "superoperator matrix", self.dim * self.dim)
         object.__setattr__(self, "matrix", _frozen(arr))
 

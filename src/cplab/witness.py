@@ -54,7 +54,7 @@ DEFAULT_SCAN_GRID = tuple(np.geomspace(1e-4, 1.0, 30))
 _PAIR_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WitnessCandidate:
     """Certificate that the doubled dynamics fails positivity.
 
@@ -98,7 +98,7 @@ class NoNegativeDirection:
     min_coeff_eigenvalue: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NegativityScan:
     """Evolution of the witness state over a time grid, as built by :func:`negativity_scan`."""
 

@@ -37,6 +37,12 @@ def test_deterministic_output():
     np.testing.assert_array_equal(standard_basis(3).elements, standard_basis(3).elements)
 
 
+@pytest.mark.parametrize("d", [2.5, 2.0, "3"])
+def test_non_integer_dimension(d):
+    with pytest.raises(InvalidDimension, match="integer dimension"):
+        standard_basis(d)
+
+
 def test_invalid_dimension():
     with pytest.raises(InvalidDimension):
         standard_basis(1)
@@ -123,6 +129,19 @@ class TestOperatorBasis:
     def test_rejects_wrong_count(self):
         with pytest.raises(ShapeMismatch):
             OperatorBasis(dim=2, elements=standard_basis(2).elements[:2])
+
+    @pytest.mark.parametrize("count", [2, 4, 9])
+    def test_reconstruct_rejects_wrong_coefficient_count(self, count):
+        with pytest.raises(ShapeMismatch, match="length 3"):
+            standard_basis(2).reconstruct(1.0, np.ones(count))
+
+    @pytest.mark.parametrize(
+        "trace, bad", [(1.0, np.nan), (1.0, np.inf), (np.nan, 0.0), (complex(0, np.inf), 0.0)]
+    )
+    def test_reconstruct_rejects_non_finite_input(self, trace, bad):
+        coefficients = np.array([0.5, bad, 0.0])
+        with pytest.raises(NonFinite):
+            standard_basis(2).reconstruct(trace, coefficients)
 
     def test_rejects_invalid_elements(self):
         elements = standard_basis(2).elements.copy()

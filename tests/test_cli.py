@@ -11,7 +11,7 @@ import scipy.linalg
 
 import cplab
 from cplab import Superoperator, tensor_extension
-from cplab.cli import main
+from cplab.cli import build_parser, load_config, main
 from cplab.linalg import POSITIVITY_TOL, eps_pos, min_eigenvalue
 
 from helpers import (
@@ -88,6 +88,13 @@ def test_golden_report(golden, argv, exit_code, capsys):
     assert code == exit_code
     expected = json.loads((DATA / golden).read_text())
     assert _canonical(json.loads(out)) == _canonical(expected)
+
+
+def test_problem_config_compares_by_identity():
+    args = build_parser().parse_args(["check-cp", *DEPOLARIZING])
+    a, b = load_config(args), load_config(args)
+    assert a == a
+    assert (a == b) is False
 
 
 class TestCheckCpExamples:

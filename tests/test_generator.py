@@ -1,7 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 
 from cplab import (
+    DensityMatrix,
     GKSGenerator,
     LindbladGenerator,
     NoNegativeDirection,
@@ -15,11 +18,13 @@ from cplab import (
     is_completely_positive,
     linalg,
     lindblad_to_gks,
+    negativity_scan,
     standard_basis,
     superoperator_of,
     witness,
 )
 from cplab.errors import (
+    InvalidDimension,
     NonFinite,
     NonHermitian,
     NonTraceless,
@@ -65,6 +70,75 @@ def _null_generator(d=2):
         coeff=np.zeros((d * d - 1, d * d - 1)),
         basis=standard_basis(d),
     )
+
+
+def _negative_generator():
+    return GKSGenerator(2, np.zeros((2, 2)), np.diag([1.0, 1.0, -1.0]), standard_basis(2))
+
+
+def _witness():
+    return construct_witness(_negative_generator(), rng=np.random.default_rng(0))
+
+
+def _scan():
+    w = _witness()
+    return negativity_scan(_negative_generator(), w.psi, w.phi)
+
+
+#: Builders of every dataclass with a ``dim``, from d = 2 data and the given ``dim`` value.
+DIM_HOLDERS = {
+    "OperatorBasis": lambda d: OperatorBasis(d, standard_basis(2).elements),
+    "GKSGenerator": lambda d: GKSGenerator(d, np.zeros((2, 2)), np.eye(3), standard_basis(2)),
+    "LindbladGenerator": lambda d: LindbladGenerator(d, np.zeros((2, 2)), (SMINUS,)),
+    "Superoperator": lambda d: Superoperator(d, np.eye(4)),
+    "DensityMatrix": lambda d: DensityMatrix(d, np.eye(2) / 2),
+}
+
+#: Builders of equal-valued instances of every dataclass that holds arrays.
+ARRAY_HOLDERS = {
+    **{name: functools.partial(build, 2) for name, build in DIM_HOLDERS.items()},
+    "WitnessCandidate": _witness,
+    "NegativityScan": _scan,
+}
+
+
+class TestIdentityEquality:
+    @pytest.mark.parametrize("build", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS.keys())
+    def test_equal_values_compare_by_identity(self, build):
+        a, b = build(), build()
+        assert a == a
+        assert (a == b) is False
+        assert a != b
+        assert {a: "a", b: "b"}[a] == "a"
+
+    def test_scalar_results_keep_value_equality(self):
+        g = _negative_generator()
+        assert is_completely_positive(g) == is_completely_positive(g)
+        assert NoNegativeDirection(1.0) == NoNegativeDirection(1.0)
+
+
+class TestIntegerDimension:
+    @pytest.mark.parametrize("build", DIM_HOLDERS.values(), ids=DIM_HOLDERS.keys())
+    @pytest.mark.parametrize("dim", [2.0, "2", None], ids=["float", "str", "none"])
+    def test_non_integer_dim_raises_invalid_dimension(self, build, dim):
+        with pytest.raises(InvalidDimension, match="integer dimension"):
+            build(dim)
+
+    @pytest.mark.parametrize("build", DIM_HOLDERS.values(), ids=DIM_HOLDERS.keys())
+    def test_numpy_integer_dim_is_stored_as_int(self, build):
+        assert type(build(np.int64(2)).dim) is int
+
+    @pytest.mark.parametrize("name", ["GKSGenerator", "LindbladGenerator"])
+    def test_generators_need_d_at_least_2(self, name):
+        with pytest.raises(InvalidDimension, match="d >= 2"):
+            DIM_HOLDERS[name](1)
+
+    def test_states_and_superoperators_need_d_at_least_1(self):
+        with pytest.raises(InvalidDimension, match="d >= 1"):
+            Superoperator(0, np.eye(1))
+        with pytest.raises(InvalidDimension, match="d >= 1"):
+            DensityMatrix(0, np.eye(1))
+        assert DensityMatrix.from_pure([1.0]).dim == 1
 
 
 class TestApplyGenerator:
