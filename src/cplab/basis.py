@@ -85,18 +85,6 @@ class OperatorBasis:
         arr = require_square(k, "K", self.dim)
         return np.einsum("aij,ij->a", self.elements.conj(), arr)
 
-    def reconstruct(self, trace: complex, coefficients: np.ndarray) -> np.ndarray:
-        """Rebuild ``K`` from its trace and its ``d^2 - 1`` expansion coefficients;
-        :class:`ShapeMismatch` for another count, :class:`NonFinite` on NaN/Inf."""
-        coeffs = np.asarray(coefficients, dtype=complex).reshape(-1)
-        if coeffs.size != self.size:
-            raise ShapeMismatch(f"coefficients must have length {self.size}, got {coeffs.size}")
-        if not (np.all(np.isfinite(coeffs)) and np.isfinite(trace)):
-            raise NonFinite("trace or coefficients contain non-finite entries")
-        out = np.tensordot(coeffs, self.elements, axes=1)
-        out += (trace / self.dim) * np.eye(self.dim)
-        return out
-
 
 def standard_basis(d: int) -> OperatorBasis:
     """Generalized Gell-Mann basis for dimension ``d`` (deterministic).

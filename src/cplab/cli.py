@@ -137,7 +137,9 @@ def _read_json(path: str, what: str) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {what}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and the
+        # 4300-digit limit on integer literals; RecursionError, deep nesting.
         raise ConfigError(f"{what} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{what}: top level must be a JSON object")
@@ -272,9 +274,9 @@ def load_config(args) -> ProblemConfig:
         raise ConfigError("tolerances: expected a JSON object")
     tolerance = _resolve_tolerance(args.tol, tolerances.get("positivity"))
 
-    seed = args.seed if args.seed is not None else raw.get("seed", 0)
+    source, seed = ("--seed", args.seed) if args.seed is not None else ("seed", raw.get("seed", 0))
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"seed: expected an integer >= 0, got {seed!r}")
+        raise ConfigError(f"{source}: expected an integer >= 0, got {seed!r}")
 
     grid = None
     if getattr(args, "grid", None) is not None:

@@ -29,8 +29,6 @@ from .linalg import (
     fro_norm,
     require_hermitian,
     require_square,
-    unvec,
-    vec,
 )
 
 
@@ -112,7 +110,7 @@ class Superoperator:
 
     def apply(self, rho) -> np.ndarray:
         arr = require_square(rho, "rho", self.dim)
-        return unvec(self.matrix @ vec(arr), self.dim)
+        return (self.matrix @ arr.reshape(-1, order="F")).reshape(self.dim, self.dim, order="F")
 
 
 def lindblad_to_gks(l: LindbladGenerator, basis: OperatorBasis) -> GKSGenerator:

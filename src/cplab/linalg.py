@@ -11,7 +11,8 @@ Conventions used throughout the package:
   ``HERMITICITY_TOL``; every positivity decision, on ``C`` or on a state,
   is :func:`psd_margin`: ``lambda_min(M) >= -eps_pos(M, tol)``.  A matrix
   that a generator or a state has already validated goes straight to its
-  unchecked core, :func:`_hermitian_margin`, with the same bits.
+  unchecked core, :func:`_hermitian_margin`, with the same bits, and
+  :func:`min_eigenvalue` is ``psd_margin``'s ``lambda_min``.
 * :func:`matrix_exp` is numpy-only scaling and squaring with the degree-30
   truncated Taylor series, whose backward error stays below the unit
   roundoff for ``||A||_1 <= theta_30 = 3.54`` (A. H. Al-Mohy and N. J. Higham,
@@ -111,12 +112,6 @@ def require_hermitian(m, name: str = "matrix", dim: int | None = None) -> np.nda
     return arr
 
 
-def _symmetrized(m) -> np.ndarray:
-    """``(M + M^dagger) / 2`` after :func:`require_hermitian`; keeps roundoff out of spectra."""
-    arr = require_hermitian(m)
-    return (arr + arr.conj().T) / 2.0
-
-
 def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
     """``(values, vectors)`` of a Hermitian matrix, like ``np.linalg.eigh``.
 
@@ -124,12 +119,13 @@ def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
     Deviations from Hermiticity beyond ``HERMITICITY_TOL`` raise
     :class:`NonHermitian`.
     """
-    return np.linalg.eigh(_symmetrized(m))
+    arr = require_hermitian(m)
+    return np.linalg.eigh((arr + arr.conj().T) / 2.0)
 
 
 def min_eigenvalue(m) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    return float(np.linalg.eigvalsh(_symmetrized(m))[0])
+    """Smallest eigenvalue of a Hermitian matrix: the ``lambda_min`` of :func:`psd_margin`."""
+    return _hermitian_margin(require_hermitian(m))[0]
 
 
 def _hermitian_margin(arr: np.ndarray, tol: float = POSITIVITY_TOL):
@@ -317,18 +313,3 @@ def similarity_to_transpose(w, rng: np.random.Generator | None = None) -> np.nda
             f"no invertible similarity found for a {d}x{d} matrix after the retry budget"
         )
     return valid[int(np.argmax(ratios))]
-
-
-def vec(m: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(m).reshape(-1, order="F")
-
-
-def unvec(v: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vec` for square matrices."""
-    arr = np.asarray(v).reshape(-1)
-    if dim is None:
-        dim = int(round(np.sqrt(arr.size)))
-    if dim * dim != arr.size:
-        raise NonSquare(f"cannot reshape length-{arr.size} vector into a square matrix")
-    return arr.reshape(dim, dim, order="F")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cplab import OperatorBasis, basis, standard_basis
+from cplab import OperatorBasis, basis, direction_operator, standard_basis
 from cplab.errors import InvalidDimension, NonFinite, ShapeMismatch
 
 from helpers import random_hermitian
@@ -130,19 +130,6 @@ class TestOperatorBasis:
         with pytest.raises(ShapeMismatch):
             OperatorBasis(dim=2, elements=standard_basis(2).elements[:2])
 
-    @pytest.mark.parametrize("count", [2, 4, 9])
-    def test_reconstruct_rejects_wrong_coefficient_count(self, count):
-        with pytest.raises(ShapeMismatch, match="length 3"):
-            standard_basis(2).reconstruct(1.0, np.ones(count))
-
-    @pytest.mark.parametrize(
-        "trace, bad", [(1.0, np.nan), (1.0, np.inf), (np.nan, 0.0), (complex(0, np.inf), 0.0)]
-    )
-    def test_reconstruct_rejects_non_finite_input(self, trace, bad):
-        coefficients = np.array([0.5, bad, 0.0])
-        with pytest.raises(NonFinite):
-            standard_basis(2).reconstruct(trace, coefficients)
-
     def test_rejects_invalid_elements(self):
         elements = standard_basis(2).elements.copy()
         elements[1] *= 0.5
@@ -156,7 +143,7 @@ class TestOperatorBasis:
         for _ in range(20):
             k = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             coeffs = basis.expansion_coefficients(k)
-            rebuilt = basis.reconstruct(complex(np.trace(k)), coeffs)
+            rebuilt = direction_operator(2 * coeffs, basis) + np.trace(k) / d * np.eye(d)
             assert np.max(np.abs(rebuilt - k)) <= 1e-12 * max(1.0, np.abs(k).max())
 
     def test_expansion_of_hermitian_traceless_is_real_on_hermitian_basis(self):

@@ -655,12 +655,13 @@ class TestToleranceAndSeed:
     @pytest.mark.parametrize("command", ["check-cp", "witness"])
     def test_negative_seed_flag(self, command, capsys):
         argv = [command, "--config", str(DATA / "config_negative.json"), "--seed", "-1"]
-        _assert_typed_error(argv, capsys)
+        assert "config error: --seed: expected an integer" in _assert_typed_error(argv, capsys)
 
     @pytest.mark.parametrize("seed", [-1, True, 1.5, "7"])
     def test_invalid_config_seed(self, seed, tmp_path, capsys):
         cfg = _config_with(tmp_path, "config_negative.json", seed=seed)
-        _assert_typed_error(["check-cp", "--config", str(cfg)], capsys)
+        err = _assert_typed_error(["check-cp", "--config", str(cfg)], capsys)
+        assert "config error: seed: expected an integer" in err
 
 
 _PSD_COMMANDS = ("check-cp", "witness", "convert")
@@ -698,9 +699,12 @@ _CHECK = ["check-cp", "--config", "{tmp}/c.json"]
 _NEG = ["--config", "{data}/config_negative.json"]
 _EVOLVE = ["evolve", *_NEG, "--time", "0.1"]
 _ADJACENT_FLOATS = "1:1.0000000000000002:5:lin"
+_NOT_UTF8 = b'\xff\xfe{"dim": 2}'
+_TOO_DEEP = "[" * 100000
+_TOO_LONG = '{"dim": ' + "1" * 5000 + "}"
 
 #: name: (argv, config written to {tmp}/c.json, state written to {tmp}/s.json,
-#: CPLAB_TOL, a fragment of the error line); a str config is written verbatim.
+#: CPLAB_TOL, a fragment of the error line); a str or bytes entry is written verbatim.
 CLI_ERROR_CASES = {
     "dim-not-int": (_CHECK, {**_GKS2, "dim": "2"}, None, None, "dim: expected an integer"),
     "dim-below-2": (_CHECK, {**_GKS2, "dim": 1}, None, None, "dim: expected an integer"),
@@ -722,6 +726,19 @@ CLI_ERROR_CASES = {
     ),
     "env-tol-not-number": (_CHECK, _GKS2, None, "abc", "CPLAB_TOL='abc' is not a number"),
     "invalid-json": (_CHECK, '{"dim": 2,', None, None, "not valid JSON"),
+    # Not UTF-8, nested past Python's recursion limit, and past its 4300-digit integer limit.
+    "config-not-utf8": (_CHECK, _NOT_UTF8, None, None, "config is not valid JSON"),
+    "config-nested-too-deep": (_CHECK, _TOO_DEEP, None, None, "config is not valid JSON"),
+    "config-integer-too-long": (_CHECK, _TOO_LONG, None, None, "config is not valid JSON"),
+    "state-not-utf8": (
+        [*_EVOLVE, "--state", "{tmp}/s.json"], None, _NOT_UTF8, None, "state is not valid JSON"
+    ),
+    "state-nested-too-deep": (
+        [*_EVOLVE, "--state", "{tmp}/s.json"], None, _TOO_DEEP, None, "state is not valid JSON"
+    ),
+    "state-integer-too-long": (
+        [*_EVOLVE, "--state", "{tmp}/s.json"], None, _TOO_LONG, None, "state is not valid JSON"
+    ),
     "top-level-not-object": (_CHECK, [1, 2], None, None, "top level must be a JSON object"),
     "state-without-matrix-or-vector": (
         ["evolve", *_NEG, "--time", "0.1", "--state", "{tmp}/s.json"],
@@ -889,7 +906,9 @@ CLI_ERROR_CASES = {
 def test_cli_error_paths(argv, config, state, env, message, tmp_path, monkeypatch, capsys):
     """Malformed configs, state files, flags and environment exit 1 with a typed error."""
     for name, content in (("c.json", config), ("s.json", state)):
-        if content is not None:
+        if isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        elif content is not None:
             text = content if isinstance(content, str) else json.dumps(content)
             (tmp_path / name).write_text(text)
     if env is not None:

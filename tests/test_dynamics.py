@@ -29,7 +29,7 @@ from cplab.errors import (
     ShapeMismatch,
     ZeroVector,
 )
-from cplab.linalg import POSITIVITY_TOL, fro_norm, matrix_exp, min_eigenvalue, unvec, vec
+from cplab.linalg import POSITIVITY_TOL, fro_norm, matrix_exp, min_eigenvalue
 
 from helpers import (
     NotApplicable,
@@ -161,7 +161,9 @@ class TestTensorExtension:
         rho_b = random_density(d, rng)
         t = 0.4
         propagator = scipy.linalg.expm(t * tensor_extension(g).matrix)
-        lhs = unvec(propagator @ vec(np.kron(rho_a, rho_b)), d * d)
+        lhs = (propagator @ np.kron(rho_a, rho_b).reshape(-1, order="F")).reshape(
+            d * d, d * d, order="F"
+        )
         gamma = evolution_map(g, t)
         rhs = np.kron(gamma.apply(rho_a), gamma.apply(rho_b))
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)

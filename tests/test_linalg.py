@@ -30,7 +30,7 @@ from cplab.errors import (
     SolverFailure,
 )
 from cplab import linalg
-from cplab.linalg import POSITIVITY_TOL, eps_pos, fro_norm, psd_margin, unvec, vec
+from cplab.linalg import POSITIVITY_TOL, eps_pos, fro_norm, psd_margin
 from cplab.dynamics import doubled_evolution
 from cplab.witness import DEFAULT_SCAN_GRID, negativity_scan
 
@@ -405,16 +405,6 @@ def _solution_or_none(solve, w, rng):
         return solve(w, rng)
     except SolverFailure:
         return None
-
-
-def test_vec_unvec_round_trip():
-    rng = np.random.default_rng(41)
-    m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    np.testing.assert_array_equal(unvec(vec(m)), m)
-    # Column stacking: the first d entries are the first column.
-    np.testing.assert_array_equal(vec(m)[:3], m[:, 0])
-    with pytest.raises(NonSquare):
-        unvec(np.zeros(5))
 
 
 _B2 = standard_basis(2)

@@ -1,0 +1,53 @@
+"""Every function and method in ``src/cplab`` has a user.
+
+A definition passes if other code in the package references it by name, if
+``cplab.__all__`` exports it, or if ``bench/tracer.py`` traces it by name in
+``TRACED``.  Dunder methods are exempt: Python calls them.  References are
+matched by name, so a same-named definition elsewhere also counts as a use.
+Both sources are read with ``ast``, so nothing of the benchmark is executed.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import cplab
+
+SRC = Path(cplab.__file__).resolve().parent
+TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def _references(node) -> Counter:
+    """Names loaded (``f``) and attributes read (``x.f``) anywhere under ``node``."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) or (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+    )
+
+
+def _traced_names() -> set:
+    tree = ast.parse(TRACER_PATH.read_text())
+    table = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"]
+    )
+    return {entry.elts[1].value for entry in table.elts}
+
+
+def test_every_function_has_a_user():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    references = sum((_references(tree) for tree in trees.values()), Counter())
+    used = set(cplab.__all__) | _traced_names()
+    unreferenced = [
+        f"{name}: {node.name} (line {node.lineno})"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in used
+        # Recursion inside the definition itself does not count as a use.
+        and references[node.name] <= _references(node)[node.name]
+    ]
+    assert not unreferenced
