@@ -130,6 +130,12 @@ class TestOperatorBasis:
         with pytest.raises(ShapeMismatch):
             OperatorBasis(dim=2, elements=standard_basis(2).elements[:2])
 
+    @pytest.mark.parametrize("count", [2, 4, 9])
+    def test_reconstruct_rejects_wrong_coefficient_count(self, count):
+        # The expansion W = 1/2 sum_a w_a F_a is direction_operator.
+        with pytest.raises(ShapeMismatch, match="length 3"):
+            direction_operator(np.ones(count), standard_basis(2))
+
     def test_rejects_invalid_elements(self):
         elements = standard_basis(2).elements.copy()
         elements[1] *= 0.5
