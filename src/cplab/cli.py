@@ -10,14 +10,16 @@ certified, 1 = usage or configuration error.  Identical config and seed
 produce byte-identical reports.
 
 The result sections ``verdict``, ``witness``, ``scan``, ``no_negative_direction``
-and the converted ``generator`` hold their result types' fields, written by
-:func:`_to_json`; ``witness`` carries ``psi_matrix_dagger`` in place of
-``psi_matrix``.  Goldens pin these sections, so a new diagnostic belongs in
+and the converted ``generator`` are exactly their result types' fields, written by
+:func:`_to_json`.  Goldens pin these sections, so a new diagnostic belongs in
 an opt-in section of its own, not in these types' fields.
 
 The positivity tolerance resolves as: ``--tol`` flag, then the config
 ``tolerances.positivity`` field, then the ``CPLAB_TOL`` environment
-variable, then the built-in default.
+variable, then the built-in default; the library's
+:func:`~cplab.linalg.require_tolerance` refuses it outside ``[0, 1)``.
+``evolve`` refuses, with exit 1, an evolved state whose trace drifted from the
+input's by more than ``TRACE_TOL``: its propagator lost accuracy.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import numpy as np
 from . import __version__
 from .basis import OperatorBasis, standard_basis
 from .dynamics import (
+    TRACE_TOL,
     DensityMatrix,
     doubled_evolution,
     evolution_map,
@@ -44,6 +47,7 @@ from .errors import (
     ConfigError,
     CplabError,
     DimensionMismatch,
+    InvalidState,
     NotCompletelyPositive,
 )
 from .generator import (
@@ -52,7 +56,7 @@ from .generator import (
     gks_to_lindblad,
     lindblad_to_gks,
 )
-from .linalg import POSITIVITY_TOL, hermiticity_deviation, psd_margin
+from .linalg import POSITIVITY_TOL, _hermitian_margin, hermiticity_deviation, require_tolerance
 from .witness import (
     NoNegativeDirection,
     _require_grid,
@@ -194,11 +198,8 @@ def _parse_grid_spec(spec: str) -> tuple:
 
 
 def _resolve_tolerance(cli_tol, config_tol) -> float:
-    """The first of ``--tol``, config and ``CPLAB_TOL`` that is set; in ``[0, 1)``.
-
-    The cutoff is ``tol * max(1, ||C||_F)``, so a tolerance of 1 or more
-    would certify every generator as CP.
-    """
+    """The first of ``--tol``, config and ``CPLAB_TOL`` that is set, checked by
+    :func:`~cplab.linalg.require_tolerance` under the name of its source."""
     env = os.environ.get(_ENV_TOL)
     if cli_tol is not None:
         source, value = "--tol", cli_tol
@@ -212,10 +213,8 @@ def _resolve_tolerance(cli_tol, config_tol) -> float:
             raise ConfigError(f"{_ENV_TOL}={env!r} is not a number") from None
     else:
         return POSITIVITY_TOL
-    tol = _real_from_json(value, source)
-    if not 0 <= tol < 1:
-        raise ConfigError(f"{source}: tolerance must be in [0, 1), got {tol!r}")
-    return tol
+    with _naming(source):
+        return require_tolerance(_real_from_json(value, source))
 
 
 def load_config(args) -> ProblemConfig:
@@ -334,11 +333,7 @@ def _witness_sections(config: ProblemConfig, args) -> dict:
     result = construct_witness(config.gks, rng=rng, tol=config.tolerance, phi_matrix=phi_matrix)
     if isinstance(result, NoNegativeDirection):
         return {"no_negative_direction": _to_json(result)}
-    witness = _to_json(result)
-    # Reported as Psi^dagger, the right factor of W = Phi Psi^dagger, rather than as Psi.
-    witness["psi_matrix_dagger"] = _to_json(result.psi_matrix.conj().T)
-    del witness["psi_matrix"]
-    sections = {"witness": witness}
+    sections = {"witness": _to_json(result)}
     if args.subcommand != "check-cp":
         sections["scan"] = _scan_section(config, result.psi, result.phi)
     return sections
@@ -414,7 +409,13 @@ def cmd_evolve(config: ProblemConfig, args) -> tuple[dict, int]:
         mode = "extended"
     else:
         raise DimensionMismatch(f"state dimension {state.dim} is neither d={d} nor d^2={d * d}")
-    low, cutoff = psd_margin((evolved + evolved.conj().T) / 2.0, config.tolerance)
+    drift = abs(np.trace(evolved) - np.trace(state.matrix))
+    if drift > TRACE_TOL:
+        raise InvalidState(
+            f"evolved state at t = {args.time:g} lost its trace (|Tr rho(t) - Tr rho(0)| = "
+            f"{drift:.3e}): the propagator has lost accuracy"
+        )
+    low, cutoff, _ = _hermitian_margin(evolved, config.tolerance)
     violated = low < -cutoff
     report = _report(
         config,

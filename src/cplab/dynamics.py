@@ -10,13 +10,14 @@ exponentiated, one time grid per :func:`matrix_exp` call;
 reference.
 
 Complete positivity is decided by the exact coefficient-matrix criterion,
-:func:`psd_margin` of ``C``: the same test that gates witness construction
-and the jump-form conversion, and that :class:`DensityMatrix` applies to
-states.  It is cross-checked by conditional complete positivity: the Choi
-matrix of ``L`` compressed onto the orthogonal complement of the maximally
-entangled vector has spectrum ``spec(C)``, so the two smallest eigenvalues
-must agree to roundoff, ``1e-10 * ||Choi||_F``, or
-:class:`InconsistentVerdict` is raised.
+``C`` PSD by the one positivity decision of :mod:`cplab.linalg`: the same
+test that gates witness construction and the jump-form conversion, and
+that :class:`DensityMatrix` and the negativity scan apply to states; each
+refuses a tolerance outside ``[0, 1)``.  It is cross-checked by conditional
+complete positivity: the Choi matrix of ``L`` compressed onto the
+orthogonal complement of the maximally entangled vector has spectrum
+``spec(C)``, so the two smallest eigenvalues must agree to roundoff,
+``1e-10 * ||Choi||_F``, or :class:`InconsistentVerdict` is raised.
 
 :func:`choi_matrix` returns the unnormalized Choi matrix
 ``sum_ij E_ij kron m[E_ij]`` over matrix units as a plain array, obtained
@@ -43,6 +44,9 @@ from .linalg import (
     require_hermitian,
 )
 
+#: Largest ``|Tr rho - 1|`` of a state, and the largest trace drift ``evolve`` accepts.
+TRACE_TOL = 1e-10
+
 #: Largest ``|lambda_min(compressed Choi) - lambda_min(C)|``, relative to
 #: ``||Choi||_F``, that counts as roundoff; more means a bug.
 _CHOI_AGREEMENT = 1e-10
@@ -50,7 +54,8 @@ _CHOI_AGREEMENT = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, unit-trace state, positive semidefinite by :func:`psd_margin` at ``tol``.
+    """Hermitian state of trace 1 within ``TRACE_TOL``, positive semidefinite by
+    :func:`psd_margin` at ``tol``.
 
     ``matrix`` is stored as a read-only complex copy of the validated array,
     and ``dim`` as an ``int``.
@@ -64,7 +69,7 @@ class DensityMatrix:
         object.__setattr__(self, "dim", _require_dim(self.dim, 1, "density matrix"))
         arr = require_hermitian(self.matrix, "density matrix", self.dim)
         trace = complex(np.trace(arr))
-        if abs(trace - 1.0) > 1e-10:
+        if abs(trace - 1.0) > TRACE_TOL:
             raise InvalidState(f"density matrix trace is {trace:.12g}, expected 1")
         low, cutoff, _ = _hermitian_margin(arr, self.tol)
         if low < -cutoff:

@@ -21,6 +21,10 @@ class NonFinite(CplabError, ValueError):
     """An input holds NaN or infinite entries."""
 
 
+class InvalidTolerance(CplabError, ValueError):
+    """A positivity tolerance is not a finite number in ``[0, 1)``."""
+
+
 class NonHermitian(CplabError):
     """Hermiticity deviation exceeded tolerance."""
 
@@ -55,6 +59,10 @@ class InconsistentVerdict(CplabError):
 
 class NegativeTime(CplabError):
     """Evolution times must be finite and nonnegative."""
+
+
+class InvalidSimilarity(CplabError, ValueError):
+    """A fixed coefficient matrix is singular or does not conjugate ``W`` into ``+-W^T``."""
 
 
 class NotOrthogonal(CplabError):

@@ -8,11 +8,12 @@ Conventions used throughout the package:
 * Every matrix argument goes through ``require_square(m, name, dim)``:
   :class:`NonSquare` if not square, :class:`ShapeMismatch` if not ``dim x dim``.
 * Hermiticity is checked relative to ``max(1, ||M||_F)`` with tolerance
-  ``HERMITICITY_TOL``; every positivity decision, on ``C`` or on a state,
-  is :func:`psd_margin`: ``lambda_min(M) >= -eps_pos(M, tol)``.  A matrix
-  that a generator or a state has already validated goes straight to its
-  unchecked core, :func:`_hermitian_margin`, with the same bits, and
-  :func:`min_eigenvalue` is ``psd_margin``'s ``lambda_min``.
+  ``HERMITICITY_TOL``.  One core, :func:`_hermitian_margin`, makes every positivity
+  decision, ``lambda_min(M) >= -eps_pos(M, tol)``, for ``C``, a state or the states
+  of a scan, on a matrix or a stack that its caller validated or computed.
+  :func:`psd_margin` is the core for one outside matrix after :func:`require_hermitian`,
+  :func:`min_eigenvalue` its ``lambda_min``.  A tolerance must be finite and in
+  ``[0, 1)`` (:func:`require_tolerance`).
 * :func:`matrix_exp` is numpy-only scaling and squaring with the degree-30
   truncated Taylor series, whose backward error stays below the unit
   roundoff for ``||A||_1 <= theta_30 = 3.54`` (A. H. Al-Mohy and N. J. Higham,
@@ -29,7 +30,9 @@ import math
 
 import numpy as np
 
-from .errors import NegativeTime, NonFinite, NonHermitian, NonSquare, ShapeMismatch, SolverFailure
+from .errors import (
+    InvalidTolerance, NegativeTime, NonFinite, NonHermitian, NonSquare, ShapeMismatch, SolverFailure,
+)
 
 #: Relative Hermiticity tolerance (single knob shared by all callers).
 HERMITICITY_TOL = 1e-10
@@ -70,9 +73,27 @@ def fro_norm(m: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
-def eps_pos(m: np.ndarray, tol: float = POSITIVITY_TOL) -> float:
-    """Absolute positivity cutoff ``tol * max(1, ||m||_F)`` for verdicts about ``m``."""
-    return tol * max(1.0, fro_norm(m))
+def require_tolerance(tol) -> float:
+    """``tol`` as a float if it is finite and in ``[0, 1)``, else :class:`InvalidTolerance`:
+    a cutoff ``tol * max(1, ||M||_F)`` from ``tol >= 1`` would find every generator CP."""
+    if type(tol) is float and 0.0 <= tol < 1.0:
+        return tol
+    if isinstance(tol, bool) or not isinstance(tol, (float, int, np.floating, np.integer)):
+        raise InvalidTolerance(f"tolerance must be a real number, got {tol!r}")
+    value = float(tol)
+    if not 0.0 <= value < 1.0:
+        raise InvalidTolerance(f"tolerance must be in [0, 1), got {value!r}")
+    return value
+
+
+def eps_pos(m: np.ndarray, tol: float = POSITIVITY_TOL):
+    """Positivity cutoff ``tol * max(1, ||m||_F)`` of a matrix (a float) or of each matrix of
+    a stack (an array), by one formula, so that a member gets its own matrix's bits."""
+    tol = require_tolerance(tol)
+    arr = np.asarray(m, dtype=complex)
+    row, col = arr.reshape(arr.shape[:-2] + (1, -1)), arr.reshape(arr.shape[:-2] + (-1, 1))
+    sq = (row.real @ col.real + row.imag @ col.imag)[..., 0, 0]
+    return tol * max(1.0, math.sqrt(sq)) if arr.ndim == 2 else tol * np.maximum(1.0, np.sqrt(sq))
 
 
 def require_square(m, name: str = "matrix", dim: int | None = None) -> np.ndarray:
@@ -125,33 +146,28 @@ def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
 
 def min_eigenvalue(m) -> float:
     """Smallest eigenvalue of a Hermitian matrix: the ``lambda_min`` of :func:`psd_margin`."""
-    return _hermitian_margin(require_hermitian(m))[0]
+    return psd_margin(m)[0]
 
 
 def _hermitian_margin(arr: np.ndarray, tol: float = POSITIVITY_TOL):
-    """``(lambda_min, cutoff, (arr + arr^dagger) / 2)`` of a matrix already
-    validated by :func:`require_hermitian`, which is not checked again.
+    """The one positivity decision: ``(lambda_min, cutoff, sym)`` of a ``(k, k)`` matrix
+    or an ``(n, k, k)`` stack that the caller validated or computed, unchecked.
 
-    ``lambda_min`` is the smallest eigenvalue of the symmetrized matrix, the
-    cutoff ``eps_pos(arr, tol)`` of ``arr`` itself; the symmetrized matrix is
-    returned for an eigendecomposition of the same matrix.
+    ``sym = (arr + arr^dagger) / 2`` is returned for work on the matrix decided
+    on, ``lambda_min`` is its smallest eigenvalue and the cutoff ``eps_pos(arr, tol)``:
+    PSD iff ``lambda_min >= -cutoff``.  A stack gives length-``n`` arrays of its
+    members' own bits.
     """
-    sym = (arr + arr.conj().T) / 2.0
-    return float(np.linalg.eigvalsh(sym)[0]), eps_pos(arr, tol), sym
+    sym = (arr + arr.conj().swapaxes(-1, -2)) / 2.0
+    low = np.linalg.eigvalsh(sym)[..., 0]
+    return (float(low) if low.ndim == 0 else low), eps_pos(arr, tol), sym
 
 
-def psd_margin(m, tol: float = POSITIVITY_TOL):
-    """``(lambda_min, cutoff) = (min_eigenvalue(m), eps_pos(m, tol))``; PSD iff ``lambda_min >= -cutoff``.
-
-    A matrix goes through :func:`require_hermitian` first, and both results
-    are those of the complex matrix it returns, as a generator stores it.  A stack
-    ``(n, k, k)`` must be finite and Hermitian already: it is neither checked
-    nor symmetrized again, and both results are length-``n`` arrays.
-    """
-    arr = np.asarray(m)
-    if arr.ndim != 3:
-        return _hermitian_margin(require_hermitian(arr), tol)[:2]
-    return np.linalg.eigvalsh(arr)[:, 0], tol * np.maximum(1.0, np.linalg.norm(arr, axis=(1, 2)))
+def psd_margin(m, tol: float = POSITIVITY_TOL) -> tuple[float, float]:
+    """``(lambda_min, cutoff)`` of :func:`_hermitian_margin` for one matrix checked by
+    :func:`require_hermitian` (a stack raises :class:`NonSquare`); PSD iff
+    ``lambda_min >= -cutoff``, both of the complex matrix a generator would store."""
+    return _hermitian_margin(require_hermitian(m), tol)[:2]
 
 
 def _block_size(count: int) -> int:

@@ -31,6 +31,7 @@ from .dynamics import _join_factors, _split_factors, doubled_evolution
 from .errors import (
     InconsistentVerdict,
     InvalidGrid,
+    InvalidSimilarity,
     NonFinite,
     NotOrthogonal,
     ShapeMismatch,
@@ -42,7 +43,6 @@ from .linalg import (
     _frozen,
     _hermitian_margin,
     fro_norm,
-    psd_margin,
     require_square,
     similarity_to_transpose,
 )
@@ -60,14 +60,14 @@ class WitnessCandidate:
 
     ``phi``/``psi`` are stored unnormalized exactly as built from the
     coefficient matrices; positive rescaling cannot change any verdict.
-    ``transpose_sign`` records whether ``psi_matrix^dagger phi_matrix``
-    realizes ``+W^T`` or ``-W^T``.
+    ``psi_matrix_dagger`` is ``Psi^dagger``, the right factor of ``W = Phi Psi^dagger``,
+    and ``transpose_sign`` records whether ``Psi^dagger Phi`` realizes ``+W^T`` or ``-W^T``.
     """
 
     direction: np.ndarray
     direction_operator: np.ndarray
     phi_matrix: np.ndarray
-    psi_matrix: np.ndarray
+    psi_matrix_dagger: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
     value: float
@@ -78,12 +78,12 @@ class WitnessCandidate:
         w_op = self.direction_operator
         scale = max(1.0, fro_norm(w_op))
         _require_orthogonal(self.phi, self.psi)
-        psi_dag = self.psi_matrix.conj().T
+        psi_dag = self.psi_matrix_dagger
         if fro_norm(self.phi_matrix @ psi_dag - w_op) > _PAIR_TOL * scale:
-            raise InconsistentVerdict("phi_matrix @ psi_matrix^dagger does not reproduce W")
+            raise InconsistentVerdict("phi_matrix @ psi_matrix_dagger does not reproduce W")
         signed = psi_dag @ self.phi_matrix
         if fro_norm(signed - self.transpose_sign * w_op.T) > _PAIR_TOL * scale:
-            raise InconsistentVerdict("psi_matrix^dagger @ phi_matrix does not reproduce +-W^T")
+            raise InconsistentVerdict("psi_matrix_dagger @ phi_matrix does not reproduce +-W^T")
         if abs(self.quadratic_form) > 1e-8 and np.sign(self.value) != np.sign(self.quadratic_form):
             raise InconsistentVerdict(
                 f"overlap rate {self.value:.3e} and quadratic form "
@@ -182,19 +182,25 @@ def _candidate_from_direction(
         phi_m = similarity_to_transpose(w_op, rng=rng)
     else:
         phi_m = require_square(phi_matrix, "phi_matrix", g.dim)
-    psi_dag = np.linalg.solve(phi_m, w_op)
-    psi_m = psi_dag.conj().T
+    try:
+        psi_dag = np.linalg.solve(phi_m, w_op)
+    except np.linalg.LinAlgError:
+        raise InvalidSimilarity("phi_matrix is singular") from None
+    signed = psi_dag @ phi_m
+    plus, minus = fro_norm(signed - w_op.T), fro_norm(signed + w_op.T)
+    sign = 1 if plus <= minus else -1
+    # The solver's P conjugates W into W^T by construction; an override may not.
+    if phi_matrix is not None and min(plus, minus) > _PAIR_TOL * max(1.0, fro_norm(w_op)):
+        raise InvalidSimilarity("phi_matrix does not conjugate W into +-W^T")
     phi_v = phi_m.reshape(-1)
-    psi_v = psi_m.reshape(-1)
+    psi_v = psi_dag.conj().T.reshape(-1)
     value = _overlap_rate(g, phi_v, psi_v)
     quad = float(np.vdot(w, g.coeff @ w).real)
-    signed = psi_dag @ phi_m
-    sign = 1 if fro_norm(signed - w_op.T) <= fro_norm(signed + w_op.T) else -1
     return WitnessCandidate(
         direction=np.asarray(w, dtype=complex),
         direction_operator=w_op,
         phi_matrix=phi_m,
-        psi_matrix=psi_m,
+        psi_matrix_dagger=psi_dag,
         phi=phi_v,
         psi=psi_v,
         value=value,
@@ -216,10 +222,11 @@ def construct_witness(
     ``C`` is read as validated by the generator, and the direction is the
     first eigenvector of the symmetrized ``C`` that the test decided on.
     This is the library's one witness path.  ``phi_matrix`` overrides the
-    similarity solver with a fixed coefficient matrix (it must conjugate
-    ``W`` into ``+-W^T``), as the CLI's ``--bell-fixture`` does with
-    :func:`bell_phi_matrix`; ties between degenerate eigenvalues resolve to
-    the first column of the ascending eigendecomposition.
+    similarity solver with a fixed coefficient matrix, as the CLI's
+    ``--bell-fixture`` does with :func:`bell_phi_matrix`; one that is
+    singular or does not conjugate ``W`` into ``+-W^T`` raises
+    :class:`InvalidSimilarity`.  Ties between degenerate eigenvalues resolve
+    to the first column of the ascending eigendecomposition.
     """
     low, cutoff, sym = _hermitian_margin(g.coeff, tol)
     if low >= -cutoff:
@@ -248,7 +255,8 @@ def negativity_scan(
 
     ``psi`` is normalized before forming the projector; ``phi`` enters the
     overlap values unnormalized.  ``first_negative_time`` is the earliest
-    grid time whose evolved state :func:`psd_margin` finds not PSD at ``tol``.
+    grid time whose evolved state the one positivity decision,
+    :func:`~cplab.linalg._hermitian_margin`, finds not PSD at ``tol``.
     Without ``t_grid`` the scan runs on :data:`DEFAULT_SCAN_GRID`, checked
     once at import, and ``times`` is that shared read-only array.
     """
@@ -256,8 +264,7 @@ def negativity_scan(
     phi_v, psi_v = _pair_vectors(phi, psi, g.dim * g.dim)
     psi_v = psi_v / fro_norm(psi_v)
     states = doubled_evolution(g, np.outer(psi_v, psi_v.conj()), times)
-    herm = (states + states.conj().transpose(0, 2, 1)) / 2.0
-    min_eigs, cutoffs = psd_margin(herm, tol)
+    min_eigs, cutoffs, herm = _hermitian_margin(states, tol)
     overlaps = ((herm @ phi_v) @ phi_v.conj()).real
     negative = times[min_eigs < -cutoffs]
     return NegativityScan(

@@ -18,6 +18,7 @@ from helpers import (
     coeff_at_cutoff,
     random_generator,
     random_hermitian,
+    random_psd,
     random_pure_vector,
     random_traceless_hermitian,
 )
@@ -336,6 +337,16 @@ class TestEvolveCommand:
         evolved = np.array([[complex(re, im) for re, im in row] for row in report["state"]])
         propagator = Superoperator(dim=d * d, matrix=scipy.linalg.expm(t * tensor_extension(g).matrix))
         np.testing.assert_allclose(evolved, propagator.apply(np.outer(v, v.conj())), atol=1e-12)
+
+    @pytest.mark.parametrize("config", ["config_depolarizing.json", "config_negative.json"])
+    def test_long_time_keeps_the_trace(self, config, tmp_path, capsys):
+        """At t = 1e3 the propagator still keeps Tr rho to 1e-10: no trace refusal."""
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"matrix": [[0.5, 0], [0, 0.5]]}))
+        argv = ["evolve", "--config", str(DATA / config), "--state", str(state), "--time", "1e3"]
+        code, out, _ = _run(argv, capsys)
+        assert code in (0, 2)
+        assert abs(complex(*json.loads(out)["trace"]) - 1.0) <= 1e-10
 
     def test_dimension_mismatch(self, tmp_path, capsys):
         state = tmp_path / "state.json"
@@ -703,6 +714,14 @@ _NOT_UTF8 = b'\xff\xfe{"dim": 2}'
 _TOO_DEEP = "[" * 100000
 _TOO_LONG = '{"dim": ' + "1" * 5000 + "}"
 
+#: A CP generator at d = 4 (C = random_psd, zero Hamiltonian) whose e^{tL} at t = 1e15
+#: keeps almost nothing of the trace of I/4.
+_GKS4_CP = {
+    "dim": 4,
+    "generator": {"coeff": _to_json(random_psd(15, np.random.default_rng(3)))},
+}
+_MAXIMALLY_MIXED = {d: {"matrix": (np.eye(d) / d).tolist()} for d in (2, 4)}
+
 #: name: (argv, config written to {tmp}/c.json, state written to {tmp}/s.json,
 #: CPLAB_TOL, a fragment of the error line); a str or bytes entry is written verbatim.
 CLI_ERROR_CASES = {
@@ -885,6 +904,22 @@ CLI_ERROR_CASES = {
         None,
         None,
         "config error: --grid: time grid must be",
+    ),
+    # The squarings of e^{tL} lose the trace without overflowing; the state is refused.
+    "evolve-trace-lost-at-1e300": (
+        ["evolve", "--config", "{data}/config_depolarizing.json", "--state", "{tmp}/s.json",
+         "--time", "1e300"],
+        None,
+        _MAXIMALLY_MIXED[2],
+        None,
+        "error: evolved state at t = 1e+300 lost its trace",
+    ),
+    "evolve-trace-lost-at-1e15-d4": (
+        ["evolve", "--config", "{tmp}/c.json", "--state", "{tmp}/s.json", "--time", "1e15"],
+        _GKS4_CP,
+        _MAXIMALLY_MIXED[4],
+        None,
+        "error: evolved state at t = 1e+15 lost its trace",
     ),
     # config_negative.json is non-CP, so a report that was written would exit 2.
     "output-is-a-directory": (

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from cplab import (
     DensityMatrix,
     GKSGenerator,
+    gks_to_lindblad,
+    is_completely_positive,
     LindbladGenerator,
     Superoperator,
     construct_witness,
@@ -22,6 +25,8 @@ from cplab import (
     superoperator_of,
 )
 from cplab.errors import (
+    CplabError,
+    InvalidTolerance,
     NegativeTime,
     NonFinite,
     NonHermitian,
@@ -30,7 +35,7 @@ from cplab.errors import (
     SolverFailure,
 )
 from cplab import linalg
-from cplab.linalg import POSITIVITY_TOL, eps_pos, fro_norm, psd_margin
+from cplab.linalg import POSITIVITY_TOL, eps_pos, fro_norm, psd_margin, require_tolerance
 from cplab.dynamics import doubled_evolution
 from cplab.witness import DEFAULT_SCAN_GRID, negativity_scan
 
@@ -245,17 +250,30 @@ class TestPsdMargin:
             assert cutoff == eps_pos(m, tol)
 
     def test_stack_matches_matrix_calls(self):
+        """The core's lambda_min, cutoff and symmetrized matrix of each stack member are the
+        bits of the single-matrix call, also for members off Hermiticity by ~1e-12, where
+        symmetrizing moves the spectrum."""
         rng = np.random.default_rng(61)
-        for d in (2, 4, 9):
-            stack = np.stack([random_hermitian(d, rng, scale) for scale in (0.05, 1.0, 7.0)])
-            lows, cutoffs = psd_margin(stack, POSITIVITY_TOL)
+        for k in range(2, 17):
+            stack = np.stack([random_hermitian(k, rng, scale) for scale in (0.05, 1.0, 7.0)])
+            stack = stack + 1e-12 * (rng.standard_normal(stack.shape) + 1j * rng.standard_normal(stack.shape))
+            lows, cutoffs, syms = linalg._hermitian_margin(stack, POSITIVITY_TOL)
             assert lows.shape == cutoffs.shape == (3,)
-            for m, low, cutoff in zip(stack, lows, cutoffs):
-                single_low, single_cutoff = psd_margin(m, POSITIVITY_TOL)
-                assert low == single_low
-                assert cutoff == pytest.approx(single_cutoff, rel=1e-14)
+            for m, low, cutoff, sym in zip(stack, lows, cutoffs, syms):
+                single_low, single_cutoff, single_sym = linalg._hermitian_margin(m, POSITIVITY_TOL)
+                assert (type(single_low), type(single_cutoff)) == (float, float)
+                assert (low, cutoff) == (single_low, single_cutoff)
+                assert np.array_equal(sym, single_sym)
+                assert cutoff == eps_pos(m, POSITIVITY_TOL)
             # The smallest matrix has norm below 1, so its cutoff is tol itself.
             assert cutoffs[0] == POSITIVITY_TOL
+
+    def test_stack_is_not_a_matrix(self):
+        """``psd_margin`` and ``min_eigenvalue`` take one outside matrix; a stack is refused."""
+        stack = np.stack([np.eye(2), np.eye(2)])
+        for call in (psd_margin, min_eigenvalue):
+            with pytest.raises(NonSquare):
+                call(stack)
 
     def test_nan_matrix_raises_non_finite(self):
         with pytest.raises(NonFinite):
@@ -292,6 +310,38 @@ class TestPsdMargin:
                 (t for t, h in zip(times, herm) if min_eigenvalue(h) < -eps_pos(h, tol)), None
             )
             assert negativity_scan(g, w.psi, w.phi, times, tol).first_negative_time == expected
+
+
+class TestRequireTolerance:
+    @pytest.mark.parametrize("tol", [0, 0.0, 1e-300, POSITIVITY_TOL, np.float64(0.5), 0.9999999999999999])
+    def test_accepts_finite_values_in_unit_interval(self, tol):
+        assert require_tolerance(tol) == tol
+        assert type(require_tolerance(tol)) is float
+
+    @pytest.mark.parametrize("tol", [np.nan, -1e-9, 1.0, np.inf, -np.inf, "1e-9", None, True, 1j])
+    def test_refuses_everything_else(self, tol):
+        with pytest.raises(InvalidTolerance) as raised:
+            require_tolerance(tol)
+        assert isinstance(raised.value, CplabError) and isinstance(raised.value, ValueError)
+
+    @pytest.mark.parametrize("tol", [np.nan, -1e-9, 1.0])
+    def test_every_decision_refuses_a_bad_tolerance(self, tol):
+        """On a CP generator (C = I, d = 2), an unchecked NaN tolerance gives is_cp False, a
+        witness of value +0.5 and a conversion to 3 jumps, and -0.5 a negative scan time, so
+        every reader of the tolerance refuses it."""
+        g = GKSGenerator(dim=2, hamiltonian=np.zeros((2, 2)), coeff=np.eye(3), basis=standard_basis(2))
+        bell = np.array([0.0, 1.0, -1.0, 0.0])
+        calls = {
+            "verdict": lambda: is_completely_positive(g, tol),
+            "witness": lambda: construct_witness(g, tol=tol),
+            "conversion": lambda: gks_to_lindblad(g, tol),
+            "state": lambda: DensityMatrix(dim=2, matrix=np.eye(2) / 2, tol=tol),
+            "scan": lambda: negativity_scan(g, bell, np.array([1.0, 0.0, 0.0, 1.0]), tol=tol),
+            "psd_margin": lambda: psd_margin(np.eye(2), tol),
+        }
+        for call in calls.values():
+            with pytest.raises(InvalidTolerance, match=r"tolerance must be in \[0, 1\)"):
+                call()
 
 
 def _similarity_residual(w, p):
@@ -443,10 +493,23 @@ def test_matrix_shape_checks(call, n):
 SRC = Path(__file__).resolve().parents[1] / "src" / "cplab"
 
 
+def _is_hermitian_part(node) -> bool:
+    """Whether ``node`` is ``X + X.conj()`` transposed by ``.T``, ``.transpose(...)`` or
+    ``.swapaxes(...)``, in either order of the terms."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
+        return False
+    left, right = ast.unparse(node.left), ast.unparse(node.right)
+    return any(
+        re.fullmatch(rf"{re.escape(x)}\.conj\(\)\.(T|transpose\(.*\)|swapaxes\(.*\))", y)
+        for x, y in ((left, right), (right, left))
+    )
+
+
 def test_only_linalg_decides_positivity():
-    """Outside ``linalg.py`` no module calls ``eigvalsh`` or ``eps_pos``: every
-    positivity decision goes through ``psd_margin``, so a change to the cutoff
-    or the eigenvalue routine is made in one place."""
+    """Outside ``linalg.py`` no module calls ``eigvalsh`` or ``eps_pos`` or forms the
+    Hermitian part ``X + X.conj().T`` (or with ``transpose``/``swapaxes``): every positivity
+    decision and its symmetrization go through ``_hermitian_margin``, so a change to the
+    cutoff or the eigenvalue routine is made in one place."""
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "linalg.py":
@@ -457,5 +520,16 @@ def test_only_linalg_decides_positivity():
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                 if name in ("eigvalsh", "eps_pos"):
                     offenders.append(f"{path.name}:{node.lineno} {name}")
+            if _is_hermitian_part(node):
+                offenders.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert len(list(SRC.glob("*.py"))) > 1
     assert not offenders
+
+
+@pytest.mark.parametrize(
+    "expr, found",
+    [("x + x.conj().T", True), ("x.conj().T + x", True), ("s + s.conj().transpose(0, 2, 1)", True),
+     ("s + s.conj().swapaxes(-1, -2)", True), ("x + y.conj().T", False), ("x - x.conj().T", False)],
+)
+def test_hermitian_part_is_recognized(expr, found):
+    assert _is_hermitian_part(ast.parse(expr, mode="eval").body) is found

@@ -2,12 +2,15 @@
 
 A definition passes if other code in the package references it by name, if
 ``cplab.__all__`` exports it, or if ``bench/tracer.py`` traces it by name in
-``TRACED``.  Dunder methods are exempt: Python calls them.  References are
+``TRACED``.  Dunder methods are exempt: Python calls them.  So is a method
+that overrides a method of a base class outside the package, such as the
+``error`` hook of ``cli._Parser``: that library calls it.  References are
 matched by name, so a same-named definition elsewhere also counts as a use.
 Both sources are read with ``ast``, so nothing of the benchmark is executed.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -36,10 +39,27 @@ def _traced_names() -> set:
     return {entry.elts[1].value for entry in table.elts}
 
 
+def _outside_overrides(name: str, tree) -> set:
+    """Ids of the method nodes in ``tree`` that override a method of a base class
+    outside the package, found in the ``__mro__`` of the imported class."""
+    module = None
+    found = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        module = module or importlib.import_module(f"cplab.{Path(name).stem}")
+        bases = [b for b in getattr(module, cls.name).__mro__[1:] if not b.__module__.startswith("cplab")]
+        found.update(
+            id(f) for f in cls.body if isinstance(f, ast.FunctionDef) and any(f.name in vars(b) for b in bases)
+        )
+    return found
+
+
 def test_every_function_has_a_user():
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     references = sum((_references(tree) for tree in trees.values()), Counter())
     used = set(cplab.__all__) | _traced_names()
+    overrides = set().union(*(_outside_overrides(name, tree) for name, tree in trees.items()))
     unreferenced = [
         f"{name}: {node.name} (line {node.lineno})"
         for name, tree in trees.items()
@@ -47,7 +67,14 @@ def test_every_function_has_a_user():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and not (node.name.startswith("__") and node.name.endswith("__"))
         and node.name not in used
+        and id(node) not in overrides
         # Recursion inside the definition itself does not count as a use.
         and references[node.name] <= _references(node)[node.name]
     ]
     assert not unreferenced
+
+
+def test_overrides_of_outside_bases_are_found():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    overrides = _outside_overrides("cli.py", tree)
+    assert {n.name for n in ast.walk(tree) if id(n) in overrides} == {"error"}

@@ -21,8 +21,10 @@ from cplab import (
     witness,
 )
 from cplab.errors import (
+    CplabError,
     InconsistentVerdict,
     InvalidGrid,
+    InvalidSimilarity,
     NonFinite,
     NotOrthogonal,
     ShapeMismatch,
@@ -218,6 +220,19 @@ class TestConstructWitness:
         assert bell_candidate.transpose_sign == -1
         assert bell_candidate.value == pytest.approx(solver_candidate.value, abs=1e-10)
         assert bell_candidate.value < 0
+
+    def test_singular_phi_matrix_is_refused_by_name(self):
+        with pytest.raises(InvalidSimilarity, match="phi_matrix is singular") as raised:
+            construct_witness(_neg_generator(), phi_matrix=np.zeros((2, 2)))
+        assert isinstance(raised.value, CplabError) and isinstance(raised.value, ValueError)
+
+    def test_phi_matrix_that_does_not_conjugate_w_is_refused_by_name(self):
+        # Here W is nilpotent (one entry above the diagonal): I conjugates it into W, not +-W^T.
+        c = np.array([[0, 1j, 0], [-1j, 0, 0], [0, 0, 1]])
+        g = GKSGenerator(dim=2, hamiltonian=np.zeros((2, 2)), coeff=c, basis=standard_basis(2))
+        with pytest.raises(InvalidSimilarity, match="phi_matrix does not conjugate W"):
+            construct_witness(g, phi_matrix=np.eye(2))
+        assert construct_witness(g, phi_matrix=bell_phi_matrix()).value < 0
 
     def test_scale_invariance_of_sign(self):
         g = _neg_generator()
