@@ -22,10 +22,9 @@ from .linalg import _frozen, require_square
 #: Trace / Gram deviations beyond this make :class:`OperatorBasis` refuse the elements.
 BASIS_TOL = 1e-10
 
-#: Dimensions whose per-d constants stay built (standard basis, Choi
-#: complement).  A verdict sweep cycles through d = 2..6, so fewer slots would
-#: rebuild on every call; no bound would keep every large basis ever built
-#: (d = 60 takes 207 MB).
+#: Dimensions whose standard basis stays built.  A verdict sweep cycles
+#: through d = 2..6, so fewer slots would rebuild on every call; no bound
+#: would keep every large basis ever built (d = 60 takes 207 MB).
 _CACHED_DIMS = 8
 
 

@@ -15,9 +15,10 @@ test that gates witness construction and the jump-form conversion, and
 that :class:`DensityMatrix` and the negativity scan apply to states; each
 refuses a tolerance outside ``[0, 1)``.  It is cross-checked by conditional
 complete positivity: the Choi matrix of ``L`` compressed onto the
-orthogonal complement of the maximally entangled vector has spectrum
-``spec(C)``, so the two smallest eigenvalues must agree to roundoff,
-``1e-10 * ||Choi||_F``, or :class:`InconsistentVerdict` is raised.
+orthogonal complement of the maximally entangled vector, which the
+``vec(F_a)`` of the generator's own basis span, is ``C`` up to roundoff, so
+the two smallest eigenvalues must agree to ``1e-10 * ||Choi||_F``, or
+:class:`InconsistentVerdict` is raised.
 
 :func:`choi_matrix` returns the unnormalized Choi matrix
 ``sum_ij E_ij kron m[E_ij]`` over matrix units as a plain array, obtained
@@ -26,12 +27,11 @@ by reshuffling the superoperator's entries, so integer fixtures stay exact.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _CACHED_DIMS, _require_dim
+from .basis import _require_dim
 from .errors import InconsistentVerdict, InvalidState, ZeroVector
 from .generator import GKSGenerator, Superoperator, _generator_matrix, superoperator_of
 from .linalg import (
@@ -166,17 +166,6 @@ def choi_matrix(m: Superoperator) -> np.ndarray:
     return m.matrix.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
 
-@functools.lru_cache(maxsize=_CACHED_DIMS)
-def _entangled_complement(d: int) -> np.ndarray:
-    """Read-only ``d^2 x (d^2 - 1)`` orthonormal columns spanning the complement
-    of the maximally entangled vector ``vec(I) / sqrt(d)``, built once per ``d``."""
-    entangled = np.eye(d).reshape(1, d * d) / np.sqrt(d)
-    # The rows of V^H after the first span the complement of ``entangled``.
-    complement = np.linalg.svd(entangled)[2][1:].T
-    complement.flags.writeable = False
-    return complement
-
-
 def is_completely_positive(g: GKSGenerator, tol: float = POSITIVITY_TOL) -> CPVerdict:
     """Decide complete positivity of the semigroup generated by ``g``.
 
@@ -185,17 +174,18 @@ def is_completely_positive(g: GKSGenerator, tol: float = POSITIVITY_TOL) -> CPVe
     validated when ``g`` was built and is not checked again.  The Choi matrix
     of ``L``, compressed onto the orthogonal complement of the maximally
     entangled vector, has the same spectrum as ``C`` (conditional complete
-    positivity); its smallest eigenvalue is reported as
+    positivity): the column-stacked ``vec(F_a)`` of the generator's own basis
+    span that complement, and in that frame the compressed matrix is ``C``
+    entry by entry, up to roundoff.  Its smallest eigenvalue is reported as
     ``min_choi_eigenvalue``.  It makes no second decision at the cutoff: if it
     differs from ``lambda_min(C)`` by more than ``1e-10 * ||Choi||_F``, the
-    verdict raises :class:`InconsistentVerdict`.  The complement basis
-    depends only on ``d``: one SVD of the entangled vector per ``d`` builds
-    it, and later verdicts at that ``d`` reuse the same read-only columns.
+    verdict raises :class:`InconsistentVerdict`.
     """
+    d, n = g.dim, g.basis.size
     min_coeff, cutoff, _ = _hermitian_margin(g.coeff, tol)
     choi = choi_matrix(superoperator_of(g))
-    complement = _entangled_complement(g.dim)
-    min_choi = min_eigenvalue(complement.T @ choi @ complement)
+    frame = g.basis.elements.transpose(0, 2, 1).reshape(n, d * d).T
+    min_choi = min_eigenvalue(frame.conj().T @ choi @ frame)
     if abs(min_choi - min_coeff) > _CHOI_AGREEMENT * fro_norm(choi):
         raise InconsistentVerdict(
             f"coefficient matrix (min eig {min_coeff:.6e}) and compressed Choi matrix "

@@ -131,6 +131,32 @@ class TestCheckCpExamples:
         assert report["verdict"]["is_cp"] is False
         assert report["witness"]["value"] < 0
 
+    @pytest.mark.parametrize("psd", [True, False])
+    @pytest.mark.parametrize("command", ["check-cp", "witness"])
+    def test_rotated_basis_config_gives_the_same_verdict(self, command, psd, tmp_path, capsys):
+        # F'_b = sum_a Q_ab F_a with a complex unitary Q and C' = Q^H C Q
+        # describe the same generator as C over the standard basis.
+        rng = np.random.default_rng(23)
+        h = random_traceless_hermitian(3, rng)
+        coeff = random_psd(8, rng) if psd else random_hermitian(8, rng)
+        mix = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))[0]
+        rotated = np.einsum("ab,aij->bij", mix, cplab.standard_basis(3).elements)
+        std_cfg, rot_cfg = tmp_path / "std.json", tmp_path / "rot.json"
+        _write_gks_config(std_cfg, h, coeff)
+        generator = {
+            "hamiltonian": _to_json(h),
+            "coeff": _to_json(mix.conj().T @ coeff @ mix),
+            "basis": [_to_json(f) for f in rotated],
+        }
+        rot_cfg.write_text(json.dumps({"dim": 3, "generator": generator}))
+        std_code, std_out, _ = _run([command, "--config", str(std_cfg)], capsys)
+        rot_code, rot_out, _ = _run([command, "--config", str(rot_cfg)], capsys)
+        assert std_code == rot_code == (0 if psd else 2)
+        std, rot = json.loads(std_out)["verdict"], json.loads(rot_out)["verdict"]
+        assert std["is_cp"] is rot["is_cp"] is psd
+        for key in ("min_coeff_eigenvalue", "min_choi_eigenvalue"):
+            assert rot[key] == pytest.approx(std[key], abs=1e-12)
+
     def test_malformed_matrix_exit_one_names_field(self, capsys):
         code, out, err = _run(["check-cp", "--config", str(DATA / "config_malformed.json")], capsys)
         assert code == 1

@@ -9,6 +9,7 @@ from cplab import (
     GKSGenerator,
     LindbladGenerator,
     NoNegativeDirection,
+    OperatorBasis,
     Superoperator,
     choi_matrix,
     construct_witness,
@@ -271,20 +272,39 @@ class TestIsCompletelyPositive:
                 assert verdict.min_coeff_eigenvalue == pytest.approx(-0.5, abs=1e-12)
                 assert verdict.min_choi_eigenvalue == pytest.approx(-0.5, abs=1e-12)
 
-    def test_entangled_complement_is_built_once_per_dimension(self, monkeypatch):
-        shapes = []
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_rotated_basis_gives_the_same_verdict(self, d, monkeypatch):
+        # F'_b = sum_a Q_ab F_a with a complex unitary Q and C' = Q^H C Q
+        # describe the same generator; the rotated elements are not Hermitian.
+        rng = np.random.default_rng(60 + d)
+        n = d * d - 1
+        std = standard_basis(d)
+        mix = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        rotated = OperatorBasis(dim=d, elements=np.einsum("ab,aij->bij", mix, std.elements))
+        pairs = []
+        for coeff in (random_psd(n, rng), random_hermitian(n, rng)):
+            g = random_generator(d, rng, coeff=coeff)
+            g_rot = GKSGenerator(
+                dim=d, hamiltonian=g.hamiltonian, coeff=mix.conj().T @ g.coeff @ mix, basis=rotated
+            )
+            s1, s2 = superoperator_of(g).matrix, superoperator_of(g_rot).matrix
+            assert fro_norm(s1 - s2) <= 1e-12 * max(1.0, fro_norm(s1))
+            pairs.append((g, g_rot))
+        calls = []
         svd = np.linalg.svd
 
         def recording(a, *args, **kwargs):
-            shapes.append(np.shape(a))
+            calls.append(np.shape(a))
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(dynamics.np.linalg, "svd", recording)
-        dynamics._entangled_complement.cache_clear()
-        rng = np.random.default_rng(31)
-        for _ in range(5):
-            is_completely_positive(random_generator(3, rng))
-        assert shapes.count((1, 9)) == 1
+        for g, g_rot in pairs:
+            verdict, rot = is_completely_positive(g), is_completely_positive(g_rot)
+            assert verdict.is_cp == rot.is_cp
+            bound = 1e-12 * max(1.0, fro_norm(g.coeff))
+            for v in (verdict, rot):
+                assert abs(v.min_choi_eigenvalue - v.min_coeff_eigenvalue) <= bound
+        assert not calls
 
     def test_choi_cross_check_catches_a_wrong_superoperator(self, monkeypatch):
         # A superoperator built from 1.01 C moves the compressed Choi

@@ -1,11 +1,13 @@
-"""Every function and method in ``src/cplab`` has a user.
+"""Every function, method and module-level constant in ``src/cplab`` has a user.
 
-A definition passes if other code in the package references it by name, if
+A function or method passes if other code in the package references it by name, if
 ``cplab.__all__`` exports it, or if ``bench/tracer.py`` traces it by name in
 ``TRACED``.  Dunder methods are exempt: Python calls them.  So is a method
 that overrides a method of a base class outside the package, such as the
 ``error`` hook of ``cli._Parser``: that library calls it.  References are
 matched by name, so a same-named definition elsewhere also counts as a use.
+A name assigned at module level passes if package code reads it or
+``cplab.__all__`` exports it; dunders such as ``__all__`` are exempt.
 Both sources are read with ``ast``, so nothing of the benchmark is executed.
 """
 
@@ -55,8 +57,16 @@ def _outside_overrides(name: str, tree) -> set:
     return found
 
 
+def _trees() -> dict:
+    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def test_every_function_has_a_user():
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     references = sum((_references(tree) for tree in trees.values()), Counter())
     used = set(cplab.__all__) | _traced_names()
     overrides = set().union(*(_outside_overrides(name, tree) for name, tree in trees.items()))
@@ -65,13 +75,38 @@ def test_every_function_has_a_user():
         for name, tree in trees.items()
         for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and not _is_dunder(node.name)
         and node.name not in used
         and id(node) not in overrides
         # Recursion inside the definition itself does not count as a use.
         and references[node.name] <= _references(node)[node.name]
     ]
     assert not unreferenced
+
+
+def _module_assignments(tree):
+    """The ``Name`` nodes bound by assignments in the module body, unpacking included."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            yield from (n for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def test_every_constant_has_a_reader():
+    trees = _trees()
+    references = sum((_references(tree) for tree in trees.values()), Counter())
+    unread = [
+        f"{name}: {target.id} (line {target.lineno})"
+        for name, tree in trees.items()
+        for target in _module_assignments(tree)
+        if not _is_dunder(target.id) and target.id not in cplab.__all__ and not references[target.id]
+    ]
+    assert not unread
 
 
 def test_overrides_of_outside_bases_are_found():
