@@ -36,20 +36,8 @@ import numpy as np
 
 from . import __version__
 from .basis import OperatorBasis, standard_basis
-from .dynamics import (
-    TRACE_TOL,
-    DensityMatrix,
-    doubled_evolution,
-    evolution_map,
-    is_completely_positive,
-)
-from .errors import (
-    ConfigError,
-    CplabError,
-    DimensionMismatch,
-    InvalidState,
-    NotCompletelyPositive,
-)
+from .dynamics import TRACE_TOL, DensityMatrix, evolve, is_completely_positive
+from .errors import ConfigError, CplabError, InvalidState, NotCompletelyPositive
 from .generator import (
     GKSGenerator,
     LindbladGenerator,
@@ -400,15 +388,8 @@ def _load_state(path: str | None, preset: str | None, tol: float) -> DensityMatr
 
 
 def cmd_evolve(config: ProblemConfig, args) -> tuple[dict, int]:
-    state, d = _load_state(args.state, args.preset, config.tolerance), config.gks.dim
-    if state.dim == d:
-        evolved = evolution_map(config.gks, args.time).apply(state.matrix)
-        mode = "single"
-    elif state.dim == d * d:
-        evolved = doubled_evolution(config.gks, state.matrix, (args.time,))[0]
-        mode = "extended"
-    else:
-        raise DimensionMismatch(f"state dimension {state.dim} is neither d={d} nor d^2={d * d}")
+    state = _load_state(args.state, args.preset, config.tolerance)
+    evolved = evolve(config.gks, state.matrix, (args.time,))[0]
     drift = abs(np.trace(evolved) - np.trace(state.matrix))
     if drift > TRACE_TOL:
         raise InvalidState(
@@ -421,7 +402,7 @@ def cmd_evolve(config: ProblemConfig, args) -> tuple[dict, int]:
         config,
         "evolve",
         time=args.time,
-        mode=mode,
+        mode="single" if state.dim == config.gks.dim else "extended",
         state=_to_json(evolved),
         trace=_to_json(np.trace(evolved)),
         hermiticity_deviation=hermiticity_deviation(evolved),

@@ -3,11 +3,12 @@
 The one-parameter family ``exp(t L)`` realizes the dynamics of a generator
 ``L``; two identical, non-interacting copies evolve under the extension
 ``L kron I + I kron L``, whose exponential factorizes as
-``exp(t L) kron exp(t L)``.  :func:`doubled_evolution` applies that product
-to each tensor factor of a doubled state, so only ``d^2 x d^2`` matrices are
-exponentiated, one time grid per :func:`matrix_exp` call;
-:func:`tensor_extension` builds the ``d^4 x d^4`` generator itself as a
-reference.
+``exp(t L) kron exp(t L)``.  :func:`evolve` is the one function that applies
+propagators to states: a single state through each propagator's
+:meth:`Superoperator.apply`, a doubled one through that product on each
+tensor factor, so only ``d^2 x d^2`` matrices are exponentiated, one time
+grid per :func:`matrix_exp` call; :func:`tensor_extension` builds the
+``d^4 x d^4`` generator itself as a reference.
 
 Complete positivity is decided by the exact coefficient-matrix criterion,
 ``C`` PSD by the one positivity decision of :mod:`cplab.linalg`: the same
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import _require_dim
-from .errors import InconsistentVerdict, InvalidState, ZeroVector
+from .errors import DimensionMismatch, InconsistentVerdict, InvalidState, ZeroVector
 from .generator import GKSGenerator, Superoperator, _generator_matrix, superoperator_of
 from .linalg import (
     POSITIVITY_TOL,
@@ -42,6 +43,7 @@ from .linalg import (
     matrix_exp,
     min_eigenvalue,
     require_hermitian,
+    require_square,
 )
 
 #: Largest ``|Tr rho - 1|`` of a state, and the largest trace drift ``evolve`` accepts.
@@ -121,18 +123,26 @@ def _join_factors(split: np.ndarray, d: int) -> np.ndarray:
     return split.reshape(-1, d, d, d, d).transpose(0, 2, 4, 1, 3).reshape(split.shape)
 
 
-def doubled_evolution(g: GKSGenerator, state, times) -> np.ndarray:
-    """``(exp(t L) kron exp(t L))[state]`` for a ``d^2 x d^2`` state, stacked over ``times``.
+def evolve(g: GKSGenerator, state, times) -> np.ndarray:
+    """``exp(t L)[state]`` of a ``d x d`` state, or ``(exp(t L) kron exp(t L))[state]``
+    of a ``d^2 x d^2`` one, stacked over ``times``.
 
-    Equal to evolving under :func:`tensor_extension`, but only the
-    ``d^2 x d^2`` propagators ``U`` of one copy are exponentiated, in one
-    :func:`matrix_exp` call for the whole grid; each acts on both factors as
-    ``U M U^T`` on the state ``M`` in the layout of :func:`_split_factors`.
-    The result has shape ``(len(times), d^2, d^2)``.
+    The ``d^2 x d^2`` propagators ``U`` of one copy come from one
+    :func:`matrix_exp` call for the whole grid.  A single state goes through
+    each ``Superoperator(d, U).apply``, so one time gives the bits of
+    :func:`evolution_map`; a doubled state ``M`` becomes ``U M U^T`` in the
+    layout of :func:`_split_factors`, equal to evolving under
+    :func:`tensor_extension`.  Any other shape raises
+    :class:`DimensionMismatch` before anything is exponentiated.
     """
     d = g.dim
+    arr = require_square(state, "state")
+    if arr.shape[0] not in (d, d * d):
+        raise DimensionMismatch(f"state dimension {arr.shape[0]} is neither d={d} nor d^2={d * d}")
     props = matrix_exp(superoperator_of(g).matrix, times)
-    split = _split_factors(np.asarray(state, dtype=complex), d)
+    if arr.shape[0] == d:
+        return np.stack([Superoperator(dim=d, matrix=u).apply(arr) for u in props])
+    split = _split_factors(arr, d)
     return _join_factors(props @ split @ props.transpose(0, 2, 1), d)
 
 
@@ -140,7 +150,7 @@ def tensor_extension(g: GKSGenerator) -> Superoperator:
     """Generator of two identical copies, ``L kron I + I kron L``.
 
     Reference implementation: library code evolves doubled states through
-    :func:`doubled_evolution` instead of exponentiating this ``d^4 x d^4``
+    :func:`evolve` instead of exponentiating this ``d^4 x d^4``
     matrix.
 
     Built directly from the extended operator sets ``F_a kron I`` and

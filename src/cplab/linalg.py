@@ -13,7 +13,8 @@ Conventions used throughout the package:
   of a scan, on a matrix or a stack that its caller validated or computed.
   :func:`psd_margin` is the core for one outside matrix after :func:`require_hermitian`,
   :func:`min_eigenvalue` its ``lambda_min``.  A tolerance must be finite and in
-  ``[0, 1)`` (:func:`require_tolerance`).
+  ``[0, 1)`` (:func:`require_tolerance`), and a matrix whose norm overflows or is
+  NaN gets :class:`NonFinite`, not an infinite cutoff (:func:`eps_pos`).
 * :func:`matrix_exp` is numpy-only scaling and squaring with the degree-30
   truncated Taylor series, whose backward error stays below the unit
   roundoff for ``||A||_1 <= theta_30 = 3.54`` (A. H. Al-Mohy and N. J. Higham,
@@ -88,11 +89,15 @@ def require_tolerance(tol) -> float:
 
 def eps_pos(m: np.ndarray, tol: float = POSITIVITY_TOL):
     """Positivity cutoff ``tol * max(1, ||m||_F)`` of a matrix (a float) or of each matrix of
-    a stack (an array), by one formula, so that a member gets its own matrix's bits."""
+    a stack (an array), by one formula, so that a member gets its own matrix's bits.
+    A norm that overflows, or NaN entries, raise :class:`NonFinite`: an infinite
+    cutoff would pass every eigenvalue."""
     tol = require_tolerance(tol)
     arr = np.asarray(m, dtype=complex)
     row, col = arr.reshape(arr.shape[:-2] + (1, -1)), arr.reshape(arr.shape[:-2] + (-1, 1))
     sq = (row.real @ col.real + row.imag @ col.imag)[..., 0, 0]
+    if not (math.isfinite(sq) if arr.ndim == 2 else np.isfinite(sq).all()):
+        raise NonFinite("positivity cutoff is not finite: the matrix norm overflows or is NaN")
     return tol * max(1.0, math.sqrt(sq)) if arr.ndim == 2 else tol * np.maximum(1.0, np.sqrt(sq))
 
 
@@ -126,7 +131,7 @@ def require_hermitian(m, name: str = "matrix", dim: int | None = None) -> np.nda
     """:func:`require_square`, and Hermitian within ``HERMITICITY_TOL`` (:class:`NonHermitian`)."""
     arr = require_square(m, name, dim)
     dev = hermiticity_deviation(arr)
-    if dev > HERMITICITY_TOL:
+    if not dev <= HERMITICITY_TOL:  # a NaN deviation (inf / inf) is refused too
         raise NonHermitian(
             f"{name} deviates from Hermiticity by {dev:.3e} (tol {HERMITICITY_TOL:.1e})"
         )
@@ -156,11 +161,13 @@ def _hermitian_margin(arr: np.ndarray, tol: float = POSITIVITY_TOL):
     ``sym = (arr + arr^dagger) / 2`` is returned for work on the matrix decided
     on, ``lambda_min`` is its smallest eigenvalue and the cutoff ``eps_pos(arr, tol)``:
     PSD iff ``lambda_min >= -cutoff``.  A stack gives length-``n`` arrays of its
-    members' own bits.
+    members' own bits.  The cutoff is taken before ``eigvalsh``, so a matrix that
+    is not finite raises :class:`NonFinite` before it reaches LAPACK.
     """
     sym = (arr + arr.conj().swapaxes(-1, -2)) / 2.0
+    cutoff = eps_pos(arr, tol)
     low = np.linalg.eigvalsh(sym)[..., 0]
-    return (float(low) if low.ndim == 0 else low), eps_pos(arr, tol), sym
+    return (float(low) if low.ndim == 0 else low), cutoff, sym
 
 
 def psd_margin(m, tol: float = POSITIVITY_TOL) -> tuple[float, float]:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import OperatorBasis
-from .dynamics import _join_factors, _split_factors, doubled_evolution
+from .dynamics import _join_factors, _split_factors, evolve
 from .errors import (
     InconsistentVerdict,
     InvalidGrid,
@@ -145,7 +145,7 @@ def overlap_rate(g: GKSGenerator, phi, psi) -> float:
     This is the t = 0 derivative of the phi-overlap of the evolved
     projector; Hermiticity preservation makes it real.  The doubled
     generator acts on each tensor factor as ``S M + M S^T`` in the split
-    layout of :func:`doubled_evolution`, with ``S`` the single-copy
+    layout of :func:`evolve`, with ``S`` the single-copy
     superoperator.
     """
     phi_v, psi_v = _pair_vectors(phi, psi, g.dim * g.dim)
@@ -263,7 +263,7 @@ def negativity_scan(
     times = _DEFAULT_TIMES if t_grid is None else _require_grid(t_grid)
     phi_v, psi_v = _pair_vectors(phi, psi, g.dim * g.dim)
     psi_v = psi_v / fro_norm(psi_v)
-    states = doubled_evolution(g, np.outer(psi_v, psi_v.conj()), times)
+    states = evolve(g, np.outer(psi_v, psi_v.conj()), times)
     min_eigs, cutoffs, herm = _hermitian_margin(states, tol)
     overlaps = ((herm @ phi_v) @ phi_v.conj()).real
     negative = times[min_eigs < -cutoffs]

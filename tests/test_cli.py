@@ -978,6 +978,36 @@ def test_cli_error_paths(argv, config, state, env, message, tmp_path, monkeypatc
     assert message in err
 
 
+_HUGE_C = {"dim": 2, "generator": {"coeff": (1e200 * np.diag([1.0, 1.0, -1.0])).tolist()}}
+_GROWING = {"dim": 2, "generator": {"coeff": np.diag([0.0, 0.0, -1.0]).tolist()}}
+_HUGE_H = {"dim": 2, "generator": {"coeff": np.eye(3).tolist(), "hamiltonian": [[0, 1e200], [0, 0]]}}
+_NOT_FINITE = "error: positivity cutoff is not finite"
+OVERFLOW_CASES = {
+    "check-cp-huge-coeff": (_HUGE_C, ["check-cp"], _NOT_FINITE),
+    "convert-huge-coeff": (_HUGE_C, ["convert"], _NOT_FINITE),
+    "witness-huge-coeff": (_HUGE_C, ["witness"], _NOT_FINITE),
+    "evolve-norm-overflows-at-200": (_GROWING, ["evolve", "--preset", "meson-d2", "--time", "200"], _NOT_FINITE),
+    "evolve-state-overflows-at-400": (_GROWING, ["evolve", "--preset", "meson-d2", "--time", "400"], _NOT_FINITE),
+    "scan-norm-overflows": (_GROWING, ["scan", "--grid", "200:300:2:lin"], _NOT_FINITE),
+    "scan-state-overflows": (_GROWING, ["scan", "--grid", "1:530:2:log"], _NOT_FINITE),
+    "check-cp-huge-non-hermitian-h": (
+        _HUGE_H, ["check-cp"], "config error: generator: hamiltonian deviates from Hermiticity by nan"
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("config, argv, message", OVERFLOW_CASES.values(), ids=OVERFLOW_CASES.keys())
+def test_overflowing_norm_is_a_typed_refusal(config, argv, message, tmp_path, capsys):
+    """A matrix whose Frobenius norm overflows, or a Hermiticity deviation of inf / inf,
+    ends in a typed exit 1, not in a verdict that its own numbers contradict."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    err = _assert_typed_error([argv[0], "--config", str(cfg), *argv[1:]], capsys)
+    assert message in err
+
+
 def test_coeff_is_shape_checked_before_the_basis_is_built(tmp_path, monkeypatch, capsys):
     """A wrong-sized coeff at large d is refused without building the d^2 - 1 basis matrices."""
 

@@ -23,14 +23,16 @@ from cplab import (
 )
 from cplab import dynamics, generator
 from cplab.errors import (
+    DimensionMismatch,
     InconsistentVerdict,
     InvalidState,
     NegativeTime,
+    NonFinite,
     NotCompletelyPositive,
     ShapeMismatch,
     ZeroVector,
 )
-from cplab.linalg import POSITIVITY_TOL, fro_norm, matrix_exp, min_eigenvalue
+from cplab.linalg import POSITIVITY_TOL, _hermitian_margin, fro_norm, matrix_exp, min_eigenvalue
 
 from helpers import (
     NotApplicable,
@@ -168,6 +170,62 @@ class TestTensorExtension:
         gamma = evolution_map(g, t)
         rhs = np.kron(gamma.apply(rho_a), gamma.apply(rho_b))
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
+
+
+class TestEvolve:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_state_of_neither_dimension_is_refused_before_exponentiating(self, d, monkeypatch):
+        g = random_generator(d, np.random.default_rng(d))
+        monkeypatch.setattr(dynamics, "matrix_exp", lambda *a: pytest.fail("exponentiated"))
+        with pytest.raises(DimensionMismatch, match=f"state dimension {d + 1} is neither d={d} nor"):
+            dynamics.evolve(g, np.eye(d + 1) / (d + 1), (0.3,))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_single_state_goes_through_each_propagators_apply(self, d):
+        """Over a grid each state is ``Superoperator.apply`` of its propagator of the
+        grid's one ``matrix_exp`` call; one time gives the bits of :func:`evolution_map`.
+        A grid and one time evaluate the series with different block sizes, so the
+        grid's states agree with the one-time ones to roundoff, not bitwise."""
+        rng = np.random.default_rng(40 + d)
+        g = random_generator(d, rng)
+        rho = random_density(d, rng)
+        times = np.geomspace(1e-3, 2.0, 5)
+        states = dynamics.evolve(g, rho, times)
+        props = matrix_exp(superoperator_of(g).matrix, times)
+        assert states.shape == (5, d, d)
+        for t, u, state in zip(times, props, states):
+            assert np.array_equal(state, Superoperator(dim=d, matrix=u).apply(rho))
+            one = evolution_map(g, t).apply(rho)
+            assert np.array_equal(dynamics.evolve(g, rho, (t,))[0], one)
+            np.testing.assert_allclose(state, one, atol=1e-9)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestNonFiniteCutoff:
+    """A matrix whose Frobenius norm overflows gets a typed refusal, not a verdict:
+    its cutoff would be infinite and pass every eigenvalue."""
+
+    def test_verdict_on_a_huge_coefficient_matrix(self):
+        g = GKSGenerator(
+            dim=2, hamiltonian=np.zeros((2, 2)), coeff=1e200 * np.diag([1.0, 1.0, -1.0]),
+            basis=standard_basis(2),
+        )
+        with pytest.raises(NonFinite, match="cutoff is not finite"):
+            is_completely_positive(g)
+
+    @pytest.mark.parametrize("t", [200.0, 400.0])
+    def test_decision_on_an_evolved_state_that_overflows(self, t):
+        """At t = 200 the state is finite with entries ~1e173 and its norm overflows;
+        at t = 400 ``U M U^T`` itself overflows to inf and NaN."""
+        g = GKSGenerator(
+            dim=2, hamiltonian=np.zeros((2, 2)), coeff=np.diag([0.0, 0.0, -1.0]),
+            basis=standard_basis(2),
+        )
+        singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+        state = dynamics.evolve(g, np.outer(singlet, singlet), (t,))[0]
+        with pytest.raises(NonFinite, match="cutoff is not finite"):
+            _hermitian_margin(state)
 
 
 class TestChoiMatrix:

@@ -36,7 +36,7 @@ from cplab.errors import (
 )
 from cplab import linalg
 from cplab.linalg import POSITIVITY_TOL, eps_pos, fro_norm, psd_margin, require_tolerance
-from cplab.dynamics import doubled_evolution
+from cplab.dynamics import evolve
 from cplab.witness import DEFAULT_SCAN_GRID, negativity_scan
 
 from helpers import (
@@ -91,6 +91,12 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitian):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_rejects_non_hermitian_whose_norm_overflows(self):
+        """The deviation is inf / inf = NaN, which ``dev > tol`` would let through."""
+        with pytest.raises(NonHermitian, match="hamiltonian deviates from Hermiticity by nan"):
+            linalg.require_hermitian(np.array([[0.0, 1e200], [0.0, 0.0]]), "hamiltonian")
 
     def test_rejects_non_square(self):
         with pytest.raises(NonSquare):
@@ -305,7 +311,7 @@ class TestPsdMargin:
             g = random_generator(d, rng, coeff=coeff - (min_eigenvalue(coeff) + 0.5) * np.eye(n))
             w = construct_witness(g, rng=rng)
             psi = w.psi / np.linalg.norm(w.psi)
-            herm = [(s + s.conj().T) / 2 for s in doubled_evolution(g, np.outer(psi, psi.conj()), times)]
+            herm = [(s + s.conj().T) / 2 for s in evolve(g, np.outer(psi, psi.conj()), times)]
             expected = next(
                 (t for t, h in zip(times, herm) if min_eigenvalue(h) < -eps_pos(h, tol)), None
             )
