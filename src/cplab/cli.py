@@ -498,10 +498,13 @@ def main(argv=None) -> int:
         "scan": cmd_scan,
     }
     try:
-        args = parser.parse_args(argv)
-        config = load_config(args)
-        report, code = commands[args.subcommand](config, args)
-        _emit(report, args.output)
+        # One stderr line per refusal: numpy's floating-point warnings on an input that
+        # overflows are silenced here, once, not in the per-matrix helpers of a verdict.
+        with np.errstate(all="ignore"):
+            args = parser.parse_args(argv)
+            config = load_config(args)
+            report, code = commands[args.subcommand](config, args)
+            _emit(report, args.output)
     except NotCompletelyPositive as exc:
         sys.stderr.write(f"cplab: conversion refused: {exc}\n")
         return EXIT_NOT_CP

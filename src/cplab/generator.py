@@ -7,20 +7,21 @@ A generator acts on density matrices as
 
 with traceless Hermitian ``H``, Hermitian coefficient matrix ``C = [c_ab]``
 and an orthonormal traceless operator basis ``{F_a}``.  The equivalent jump
-form uses operators ``V_r``; both directions of the conversion go through
-the expansion of the jump operators over the basis.
+form uses operators ``V_r``: ``C = V^T conj(V)`` for their basis expansions
+``V``, and the jumps come from the kept eigenpairs of ``C`` in one product.
 
 Superoperators use column stacking: ``vec(A rho B) = (B^T kron A) vec(rho)``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import OperatorBasis, _require_dim
-from .errors import NonTraceless, NonTracelessJump, NotCompletelyPositive, ShapeMismatch
+from .errors import NonFinite, NonTraceless, NonTracelessJump, NotCompletelyPositive, ShapeMismatch
 from .linalg import (
     HERMITICITY_TOL,
     POSITIVITY_TOL,
@@ -40,8 +41,12 @@ def _require_traceless(m: np.ndarray, name: str, error=NonTraceless) -> np.ndarr
 
 
 def _hamiltonian(h, dim: int) -> np.ndarray:
-    """``h`` as a traceless Hermitian ``dim x dim`` matrix, or the typed error."""
-    return _require_traceless(require_hermitian(h, "hamiltonian", dim), "hamiltonian")
+    """``h`` as a traceless Hermitian ``dim x dim`` matrix of finite Frobenius norm, or the
+    typed error: a norm that overflows would reach the verdict's Choi matrix as NaN."""
+    arr = require_hermitian(h, "hamiltonian", dim)
+    if not math.isfinite(fro_norm(arr)):
+        raise NonFinite("hamiltonian has a Frobenius norm that overflows")
+    return _require_traceless(arr, "hamiltonian")
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,15 +119,12 @@ class Superoperator:
 
 
 def lindblad_to_gks(l: LindbladGenerator, basis: OperatorBasis) -> GKSGenerator:
-    """Expand jump operators over ``basis``; the resulting ``C`` is PSD."""
+    """``C = V^T conj(V)``, where row ``r`` of ``V`` expands jump operator ``V_r`` over
+    ``basis``: ``C = sum_r v_r v_r^dagger`` is PSD, and zero without jumps."""
     if basis.dim != l.dim:
         raise ShapeMismatch(f"basis dimension {basis.dim} != generator dimension {l.dim}")
-    n = l.dim * l.dim - 1
-    coeff = np.zeros((n, n), dtype=complex)
-    for op in l.jump_ops:
-        v = basis.expansion_coefficients(op)
-        coeff += np.outer(v, v.conj())
-    return GKSGenerator(dim=l.dim, hamiltonian=l.hamiltonian, coeff=coeff, basis=basis)
+    v = np.array([basis.expansion_coefficients(op) for op in l.jump_ops]).reshape(-1, basis.size)
+    return GKSGenerator(dim=l.dim, hamiltonian=l.hamiltonian, coeff=v.T @ v.conj(), basis=basis)
 
 
 def gks_to_lindblad(g: GKSGenerator, tol: float = POSITIVITY_TOL) -> LindbladGenerator:
@@ -139,16 +141,11 @@ def gks_to_lindblad(g: GKSGenerator, tol: float = POSITIVITY_TOL) -> LindbladGen
     if low < -cutoff:
         raise NotCompletelyPositive(f"coefficient matrix has eigenvalue {low:.6e} < -{cutoff:.1e}")
     vals, vecs = np.linalg.eigh(sym)
-    drop = 1e-12 * max(1.0, float(vals[-1]))
+    keep = vals > 1e-12 * max(1.0, float(vals[-1]))
     d = g.dim
-    flat = g.basis.elements.reshape(-1, d * d)
-    jump_ops = []
-    for lam, col in zip(vals, vecs.T):
-        if lam <= drop:
-            continue
-        v = np.sqrt(lam) * (col @ flat).reshape(d, d)
-        jump_ops.append(v)
-    return LindbladGenerator(dim=d, hamiltonian=g.hamiltonian, jump_ops=tuple(jump_ops))
+    # Jump k is sqrt(lambda_k) sum_a u_ak F_a: one product for every kept eigenvector.
+    ops = np.sqrt(vals[keep])[:, None] * (vecs[:, keep].T @ g.basis.elements.reshape(-1, d * d))
+    return LindbladGenerator(dim=d, hamiltonian=g.hamiltonian, jump_ops=tuple(ops.reshape(-1, d, d)))
 
 
 def _generator_matrix(h: np.ndarray, coeff: np.ndarray, ops: np.ndarray) -> np.ndarray:

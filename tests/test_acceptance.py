@@ -254,9 +254,9 @@ def test_criterion_08_semigroup_axioms():
 def test_criterion_09_jump_form_round_trip():
     rng = np.random.default_rng(109)
     failures = []
-    for d in (2, 3):
+    for d, trials in ((2, 50), (3, 50), (4, 10), (5, 10), (6, 10)):
         n = d * d - 1
-        for trial in range(50):
+        for trial in range(trials):
             rank = int(rng.integers(1, n + 1))
             coeff = random_psd(n, rng, rank=rank)
             g = random_generator(d, rng, coeff=coeff)
@@ -269,7 +269,7 @@ def test_criterion_09_jump_form_round_trip():
                 if delta > 1e-10 * max(1.0, fro_norm(rho)):
                     failures.append(f"d={d} trial={trial}: action drift {delta:.3e}")
                     break
-    _finish(9, "GKS <-> jump-operator round trip on 100 PSD coefficient matrices", failures)
+    _finish(9, "GKS <-> jump-operator round trip on 130 PSD coefficient matrices at d = 2..6", failures)
 
 
 def test_criterion_10_cli_determinism_and_exit_codes(tmp_path, capsys):

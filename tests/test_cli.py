@@ -981,6 +981,9 @@ def test_cli_error_paths(argv, config, state, env, message, tmp_path, monkeypatc
 _HUGE_C = {"dim": 2, "generator": {"coeff": (1e200 * np.diag([1.0, 1.0, -1.0])).tolist()}}
 _GROWING = {"dim": 2, "generator": {"coeff": np.diag([0.0, 0.0, -1.0]).tolist()}}
 _HUGE_H = {"dim": 2, "generator": {"coeff": np.eye(3).tolist(), "hamiltonian": [[0, 1e200], [0, 0]]}}
+_HUGE_HERMITIAN_H = {
+    "dim": 2, "generator": {"coeff": np.eye(3).tolist(), "hamiltonian": [[0, 1e200], [1e200, 0]]}
+}
 _NOT_FINITE = "error: positivity cutoff is not finite"
 OVERFLOW_CASES = {
     "check-cp-huge-coeff": (_HUGE_C, ["check-cp"], _NOT_FINITE),
@@ -993,19 +996,51 @@ OVERFLOW_CASES = {
     "check-cp-huge-non-hermitian-h": (
         _HUGE_H, ["check-cp"], "config error: generator: hamiltonian deviates from Hermiticity by nan"
     ),
+    "check-cp-huge-hermitian-h": (
+        _HUGE_HERMITIAN_H,
+        ["check-cp"],
+        "config error: generator: hamiltonian has a Frobenius norm that overflows",
+    ),
 }
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("config, argv, message", OVERFLOW_CASES.values(), ids=OVERFLOW_CASES.keys())
 def test_overflowing_norm_is_a_typed_refusal(config, argv, message, tmp_path, capsys):
     """A matrix whose Frobenius norm overflows, or a Hermiticity deviation of inf / inf,
-    ends in a typed exit 1, not in a verdict that its own numbers contradict."""
+    ends in a typed exit 1, not in a verdict that its own numbers contradict; ``main``
+    raises no floating-point warning on the way (the suite turns warnings into errors)."""
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(config))
     err = _assert_typed_error([argv[0], "--config", str(cfg), *argv[1:]], capsys)
     assert message in err
+
+
+def _env_with_src():
+    """The environment with the tested ``cplab`` first on ``PYTHONPATH``, for a child process."""
+    src = str(Path(cplab.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["check-cp-huge-hermitian-h", "check-cp-huge-coeff", "evolve-state-overflows-at-400",
+     "scan-state-overflows"],
+)
+def test_overflow_refusal_prints_one_stderr_line(case, tmp_path):
+    """Run as a process, an overflow refusal writes only its ``cplab: ...`` line to stderr:
+    no numpy ``RuntimeWarning`` with its source line comes before it."""
+    config, argv, message = OVERFLOW_CASES[case]
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    result = subprocess.run(
+        [sys.executable, "-m", "cplab.cli", argv[0], "--config", str(cfg), *argv[1:]],
+        env=_env_with_src(),
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("cplab: ") and message in lines[0], result.stderr
 
 
 def test_coeff_is_shape_checked_before_the_basis_is_built(tmp_path, monkeypatch, capsys):
@@ -1022,10 +1057,8 @@ def test_coeff_is_shape_checked_before_the_basis_is_built(tmp_path, monkeypatch,
 
 
 def test_cli_import_loads_no_scipy():
-    src = str(Path(cplab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     probe = "import cplab.cli, sys; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe], env=_env_with_src(), capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"

@@ -224,6 +224,14 @@ class TestGeneratorValidation:
         with pytest.raises(NonTracelessJump):
             LindbladGenerator(dim=2, hamiltonian=np.zeros((2, 2)), jump_ops=(np.eye(2),))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_rejects_hamiltonian_whose_norm_overflows(self):
+        h = np.array([[0.0, 1e200], [1e200, 0.0]])
+        with pytest.raises(NonFinite, match="hamiltonian has a Frobenius norm that overflows"):
+            GKSGenerator(dim=2, hamiltonian=h, coeff=np.eye(3), basis=standard_basis(2))
+        with pytest.raises(NonFinite, match="hamiltonian has a Frobenius norm that overflows"):
+            LindbladGenerator(dim=2, hamiltonian=h)
+
 
 class TestReadOnlyCopies:
     """Generators and superoperators keep read-only copies of their validated arrays."""
@@ -374,14 +382,14 @@ class TestGksToLindblad:
 
     def test_round_trip_reproduces_coeff_and_action(self):
         rng = np.random.default_rng(20)
-        for d in (2, 3):
+        for d in range(2, 7):
             n = d * d - 1
             coeff = random_psd(n, rng)
             g = random_generator(d, rng, coeff=coeff)
             lind = gks_to_lindblad(g)
             back = lindblad_to_gks(lind, g.basis)
             assert fro_norm(back.coeff - g.coeff) <= 1e-9 * max(1.0, fro_norm(g.coeff))
-            for _ in range(5):
+            for _ in range(5 if d <= 3 else 2):
                 rho = random_hermitian(d, rng)
                 np.testing.assert_allclose(
                     apply_generator(back, rho), apply_generator(g, rho), atol=1e-10
@@ -391,6 +399,35 @@ class TestGksToLindblad:
         g = random_generator(2, np.random.default_rng(21), coeff=np.diag([1.0, 1.0, -1.0]))
         with pytest.raises(NotCompletelyPositive):
             gks_to_lindblad(g)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_conversion_matches_the_per_operator_formulas(d):
+    """``C = V^T conj(V)`` is ``sum_r v_r v_r^dagger`` to a few ulps of ``||C||_F``, and
+    the jumps of a rank-deficient ``C`` are ``sqrt(lambda_k) sum_a u_ak F_a`` to a few
+    ulps of ``sqrt(||C||_F)``, their own scale; jumps and eigenvectors are complex."""
+    rng = np.random.default_rng(50 + d)
+    n, ulp = d * d - 1, np.finfo(float).eps
+    basis = standard_basis(d)
+    jumps = []
+    for _ in range(2):
+        v = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        jumps.append(v - np.trace(v) / d * np.eye(d))
+    lind = LindbladGenerator(dim=d, hamiltonian=np.zeros((d, d)), jump_ops=tuple(jumps))
+    g = lindblad_to_gks(lind, basis)
+    ref = sum(np.outer(v, v.conj()) for v in map(basis.expansion_coefficients, jumps))
+    assert fro_norm(g.coeff - ref) <= 4 * ulp * fro_norm(ref)
+
+    g = random_generator(d, rng, coeff=random_psd(n, rng, rank=max(1, n // 3)))
+    vals, vecs = np.linalg.eigh((g.coeff + g.coeff.conj().T) / 2)
+    expected = [
+        np.sqrt(lam) * sum(vecs[a, k] * basis.elements[a] for a in range(n))
+        for k, lam in enumerate(vals)
+        if lam > 1e-12 * max(1.0, vals[-1])
+    ]
+    got = gks_to_lindblad(g).jump_ops
+    assert len(got) == len(expected) == max(1, n // 3)
+    assert fro_norm(np.stack(got) - np.stack(expected)) <= 4 * ulp * np.sqrt(fro_norm(g.coeff))
 
 
 class TestSuperoperator:
