@@ -14,10 +14,13 @@ and the converted ``generator`` are exactly their result types' fields, written 
 :func:`_to_json`.  Goldens pin these sections, so a new diagnostic belongs in
 an opt-in section of its own, not in these types' fields.
 
-The positivity tolerance resolves as: ``--tol`` flag, then the config
-``tolerances.positivity`` field, then the ``CPLAB_TOL`` environment
-variable, then the built-in default; the library's
-:func:`~cplab.linalg.require_tolerance` refuses it outside ``[0, 1)``.
+One precedence rule holds for every setting: the flag, then the config field,
+then the default; the value is checked under the name of the source it came
+from.  The positivity tolerance is ``--tol``, ``tolerances.positivity``, the
+``CPLAB_TOL`` environment variable, then ``POSITIVITY_TOL``; the library's
+:func:`~cplab.linalg.require_tolerance` refuses it outside ``[0, 1)``.  The
+seed is ``--seed``, ``seed``, then 0; the time grid ``--grid``, ``grid``, then
+the library's default scan grid.
 ``evolve`` refuses, with exit 1, an evolved state whose trace drifted from the
 input's by more than ``TRACE_TOL``: its propagator lost accuracy.
 """
@@ -185,24 +188,9 @@ def _parse_grid_spec(spec: str) -> tuple:
     raise ConfigError(f"--grid: spacing must be 'log' or 'lin', got {parts[3]!r}")
 
 
-def _resolve_tolerance(cli_tol, config_tol) -> float:
-    """The first of ``--tol``, config and ``CPLAB_TOL`` that is set, checked by
-    :func:`~cplab.linalg.require_tolerance` under the name of its source."""
-    env = os.environ.get(_ENV_TOL)
-    if cli_tol is not None:
-        source, value = "--tol", cli_tol
-    elif config_tol is not None:
-        source, value = "tolerances.positivity", config_tol
-    elif env is not None:
-        source = _ENV_TOL
-        try:
-            value = float(env)
-        except ValueError:
-            raise ConfigError(f"{_ENV_TOL}={env!r} is not a number") from None
-    else:
-        return POSITIVITY_TOL
-    with _naming(source):
-        return require_tolerance(_real_from_json(value, source))
+def _first_set(*candidates: tuple[str, object]) -> tuple[str, object]:
+    """The first ``(source, value)`` pair whose value is not ``None``, else the last pair."""
+    return next((pair for pair in candidates if pair[1] is not None), candidates[-1])
 
 
 def load_config(args) -> ProblemConfig:
@@ -259,20 +247,31 @@ def load_config(args) -> ProblemConfig:
     tolerances = raw.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ConfigError("tolerances: expected a JSON object")
-    tolerance = _resolve_tolerance(args.tol, tolerances.get("positivity"))
+    source, tolerance = _first_set(
+        ("--tol", args.tol),
+        ("tolerances.positivity", tolerances.get("positivity")),
+        (_ENV_TOL, os.environ.get(_ENV_TOL)),
+        ("POSITIVITY_TOL", POSITIVITY_TOL),
+    )
+    if source == _ENV_TOL:
+        try:
+            tolerance = float(tolerance)
+        except ValueError:
+            raise ConfigError(f"{_ENV_TOL}={tolerance!r} is not a number") from None
+    with _naming(source):
+        tolerance = require_tolerance(_real_from_json(tolerance, source))
 
-    source, seed = ("--seed", args.seed) if args.seed is not None else ("seed", raw.get("seed", 0))
+    source, seed = _first_set(("--seed", args.seed), ("seed", raw.get("seed", 0)))
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"{source}: expected an integer >= 0, got {seed!r}")
 
-    grid = None
-    if getattr(args, "grid", None) is not None:
-        grid, source = _parse_grid_spec(args.grid), "--grid"
-    elif raw.get("grid") is not None:
-        if not isinstance(raw["grid"], list):
+    source, grid = _first_set(("--grid", getattr(args, "grid", None)), ("grid", raw.get("grid")))
+    if source == "--grid":
+        grid = _parse_grid_spec(grid)
+    elif grid is not None:
+        if not isinstance(grid, list):
             raise ConfigError("grid: expected a list of times")
-        grid = tuple(_real_from_json(t, f"grid[{i}]") for i, t in enumerate(raw["grid"]))
-        source = "grid"
+        grid = tuple(_real_from_json(t, f"grid[{i}]") for i, t in enumerate(grid))
     if grid is not None:
         # A spec can pass _parse_grid_spec and still collapse in floating point.
         with _naming(source):
@@ -306,12 +305,13 @@ def _report(config: ProblemConfig, command: str, **sections) -> dict:
 
 
 def _scan_section(config: ProblemConfig, psi, phi) -> dict:
+    """The ``scan`` section: the pair ``psi``, ``phi`` scanned over the config's grid."""
     scan = negativity_scan(config.gks, psi, phi, t_grid=config.grid, tol=config.tolerance)
-    return _to_json(scan)
+    return {"scan": _to_json(scan)}
 
 
-def _witness_sections(config: ProblemConfig, args) -> dict:
-    """``witness`` (and, but for ``check-cp``, ``scan``) sections, or ``no_negative_direction``."""
+def _witness_sections(config: ProblemConfig, args, scan: bool) -> dict:
+    """The ``witness`` section and, if ``scan``, the scan of its pair; or ``no_negative_direction``."""
     rng = np.random.default_rng(config.seed)
     phi_matrix = None
     if getattr(args, "bell_fixture", False):
@@ -321,10 +321,8 @@ def _witness_sections(config: ProblemConfig, args) -> dict:
     result = construct_witness(config.gks, rng=rng, tol=config.tolerance, phi_matrix=phi_matrix)
     if isinstance(result, NoNegativeDirection):
         return {"no_negative_direction": _to_json(result)}
-    sections = {"witness": _to_json(result)}
-    if args.subcommand != "check-cp":
-        sections["scan"] = _scan_section(config, result.psi, result.phi)
-    return sections
+    scanned = _scan_section(config, result.psi, result.phi) if scan else {}
+    return {"witness": _to_json(result), **scanned}
 
 
 # --------------------------------------------------------------------------
@@ -337,10 +335,9 @@ def _verdict_report(config: ProblemConfig, args) -> tuple[dict, int]:
 
     A witness entry is present exactly when the verdict is non-CP.
     """
+    scan = args.subcommand == "witness"
     verdict = is_completely_positive(config.gks, tol=config.tolerance)
-    sections = {}
-    if args.subcommand == "witness" or not verdict.is_cp:
-        sections = _witness_sections(config, args)
+    sections = _witness_sections(config, args, scan) if scan or not verdict.is_cp else {}
     if verdict.is_cp == ("witness" in sections):
         raise CplabError("report invariant violated: witness presence must match verdict")
     report = _report(config, args.subcommand, verdict=_to_json(verdict), **sections)
@@ -412,21 +409,15 @@ def cmd_evolve(config: ProblemConfig, args) -> tuple[dict, int]:
     return report, EXIT_NOT_CP if violated else EXIT_OK
 
 
-def _load_pair(path: str, dim_sq: int) -> tuple[np.ndarray, np.ndarray]:
-    raw = _read_json(path, "state")
-    if "psi" not in raw or "phi" not in raw:
-        raise ConfigError("scan state: expected a JSON object with 'psi' and 'phi' vectors")
-    psi = _array_from_json(raw["psi"], "state.psi", (dim_sq,))
-    phi = _array_from_json(raw["phi"], "state.phi", (dim_sq,))
-    return psi, phi
-
-
 def cmd_scan(config: ProblemConfig, args) -> tuple[dict, int]:
     if args.state is None:
-        sections = _witness_sections(config, args)
+        sections = _witness_sections(config, args, scan=True)
     else:
-        psi, phi = _load_pair(args.state, config.gks.dim**2)
-        sections = {"scan": _scan_section(config, psi, phi)}
+        raw = _read_json(args.state, "state")
+        if "psi" not in raw or "phi" not in raw:
+            raise ConfigError("scan state: expected a JSON object with 'psi' and 'phi' vectors")
+        pair = (_array_from_json(raw[v], f"state.{v}", (config.gks.dim**2,)) for v in ("psi", "phi"))
+        sections = _scan_section(config, *pair)
     negative = "scan" in sections and sections["scan"]["first_negative_time"] is not None
     return _report(config, "scan", **sections), EXIT_NOT_CP if negative else EXIT_OK
 

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -699,6 +700,93 @@ class TestToleranceAndSeed:
         cfg = _config_with(tmp_path, "config_negative.json", seed=seed)
         err = _assert_typed_error(["check-cp", "--config", str(cfg)], capsys)
         assert "config error: seed: expected an integer" in err
+
+
+class _Like(NamedTuple):
+    """The value at the same report path in a run with these config fields and flags."""
+
+    fields: dict
+    flags: tuple = ()
+    equal: bool = True
+
+
+# (command, config_negative.json fields or None for no config, flags, expected): a dict of
+# report path -> value or _Like, or the error fragment of an exit-1 refusal.
+_PRECEDENCE_CASES = {
+    "flag-seed-beats-config": (
+        "witness",
+        {"seed": 3},
+        ["--seed", "5"],
+        {"provenance.seed": 5, "witness.phi": _Like({"seed": 5})},
+    ),
+    "config-seed-draws-its-own-pair": (
+        "witness",
+        {"seed": 3},
+        [],
+        {"witness.phi": _Like({"seed": 5}, equal=False)},
+    ),
+    "config-grid": ("scan", {"grid": [0.001, 0.01, 0.1]}, [], {"scan.times": [0.001, 0.01, 0.1]}),
+    "flag-grid-beats-config": (
+        "scan",
+        {"grid": [0.001, 0.01, 0.1]},
+        ["--grid", "0:1:5:lin"],
+        {"scan.times": [0.0, 0.25, 0.5, 0.75, 1.0]},
+    ),
+    "flag-tol-beats-config": (
+        "check-cp",
+        {"tolerances": {"positivity": 1e-6}},
+        ["--tol", "1e-8"],
+        {"provenance.tolerance": 1e-8},
+    ),
+    "default-tol": ("check-cp", {}, [], {"provenance.tolerance": POSITIVITY_TOL}),
+    "tolerance-refused-before-seed-and-grid": (
+        "scan",
+        {"tolerances": {"positivity": 2}, "seed": True, "grid": 0.5},
+        [],
+        "config error: tolerances.positivity: ",
+    ),
+    "seed-refused-before-grid": ("scan", {"seed": True, "grid": 0.5}, [], "config error: seed: "),
+    "unreadable-config-before-bad-grid": (
+        "scan",
+        None,
+        ["--config", "/nonexistent/x.json", "--grid", "oops"],
+        "config error: cannot read config",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command, fields, flags, expected", _PRECEDENCE_CASES.values(), ids=_PRECEDENCE_CASES.keys()
+)
+def test_flag_then_config_then_default(command, fields, flags, expected, tmp_path, monkeypatch, capsys):
+    """``--tol``, ``--seed`` and ``--grid`` beat the config, which beats the default, and
+    the config is read, then its tolerance, seed and grid checked, in that order."""
+    monkeypatch.delenv("CPLAB_TOL", raising=False)
+
+    def run(fields, flags):
+        if fields is not None:
+            flags = ["--config", str(_config_with(tmp_path, "config_negative.json", **fields)), *flags]
+        return _run([command, *flags], capsys)
+
+    code, out, err = run(fields, flags)
+    if isinstance(expected, str):
+        assert code == 1 and out == ""
+        assert expected in err
+        return
+    assert code in (0, 2), err
+    for path, want in expected.items():
+        got = _at(json.loads(out), path)
+        if isinstance(want, _Like):
+            other = _at(json.loads(run(want.fields, want.flags)[1]), path)
+            assert (got == other) == want.equal
+        else:
+            assert got == want
+
+
+def _at(report, path):
+    for key in path.split("."):
+        report = report[key]
+    return report
 
 
 _PSD_COMMANDS = ("check-cp", "witness", "convert")

@@ -71,12 +71,13 @@ class TestEvolutionMap:
 
     def test_semigroup_law(self):
         rng = np.random.default_rng(1)
-        for _ in range(10):
-            g = random_generator(int(rng.choice([2, 3])), rng)
+        for _ in range(30):
+            g = random_generator(int(rng.choice([2, 3, 4, 5, 6])), rng)
             s, t = rng.uniform(0, 1, size=2)
             lhs = evolution_map(g, s).matrix @ evolution_map(g, t).matrix
             rhs = evolution_map(g, s + t).matrix
-            assert fro_norm(lhs - rhs) <= 1e-9
+            # Relative: at d = 6, ||e^{(s+t)L}||_F reaches ~4e7 and roundoff scales with it.
+            assert fro_norm(lhs - rhs) <= 1e-9 * max(1.0, fro_norm(rhs))
 
     def test_negative_time_rejected(self):
         with pytest.raises(NegativeTime):
@@ -84,8 +85,8 @@ class TestEvolutionMap:
 
     def test_trace_and_hermiticity_preserved_under_evolution(self):
         rng = np.random.default_rng(2)
-        for _ in range(10):
-            d = int(rng.choice([2, 3]))
+        for _ in range(30):
+            d = int(rng.choice([2, 3, 4, 5, 6]))
             n = d * d - 1
             coeff = random_hermitian(n, rng)
             g = random_generator(d, rng, coeff=coeff / fro_norm(coeff))
@@ -108,8 +109,8 @@ class TestEvolutionMap:
 
     def test_continuity_at_zero(self):
         rng = np.random.default_rng(3)
-        for _ in range(10):
-            d = int(rng.choice([2, 3]))
+        for _ in range(30):
+            d = int(rng.choice([2, 3, 4, 5, 6]))
             g = random_generator(d, rng)
             s = superoperator_of(g)
             rho = random_density(d, rng)
@@ -136,7 +137,7 @@ class TestTensorExtension:
 
     def test_product_state_rule(self):
         rng = np.random.default_rng(10)
-        for d in (2, 3):
+        for d in (2, 3, 4):
             g = random_generator(d, rng)
             rho_a = random_density(d, rng)
             rho_b = random_density(d, rng)
@@ -148,7 +149,7 @@ class TestTensorExtension:
 
     def test_factorized_evolution_as_superoperators(self):
         rng = np.random.default_rng(11)
-        for d in (2, 3):
+        for d in (2, 3, 4):
             g = random_generator(d, rng)
             single = superoperator_of(g).matrix
             for t in (0.1, 0.6):

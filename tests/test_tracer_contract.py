@@ -11,11 +11,14 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import cplab
 import cplab.cli
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+DATA = Path(__file__).resolve().parent / "data"
+NEGATIVE = ["--config", str(DATA / "config_negative.json")]
 
 
 def _load_tracer():
@@ -56,3 +59,25 @@ def test_tracer_wraps_every_binding_of_the_shared_basis():
         assert cplab.cli.standard_basis(np.int64(3)) is shared
     assert t.stats["basis.standard_basis"]["calls"] == 3
     assert all(h.standard_basis is original for h in holders)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-cp", *NEGATIVE],
+        ["witness", *NEGATIVE],
+        ["scan", *NEGATIVE],
+        ["convert", "--config", str(DATA / "config_lowering.json")],
+        ["evolve", *NEGATIVE, "--time", "0.3", "--state", str(DATA / "state_d2.json")],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_one_span_per_cli_layer_per_call(argv, capsys):
+    """One CLI call is one ``load_config``, one command and one ``_emit`` span: a
+    command bound to, or calling, another traced command would count twice."""
+    tracer = _load_tracer()
+    with tracer.Tracer() as t:
+        assert cplab.cli.main(argv) in (0, 2)
+    capsys.readouterr()
+    calls = {key: t.stats[key]["calls"] for key in ("cli.load_config", "cli.command", "cli.emit")}
+    assert calls == {"cli.load_config": 1, "cli.command": 1, "cli.emit": 1}
