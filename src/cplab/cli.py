@@ -20,7 +20,10 @@ from.  The positivity tolerance is ``--tol``, ``tolerances.positivity``, the
 ``CPLAB_TOL`` environment variable, then ``POSITIVITY_TOL``; the library's
 :func:`~cplab.linalg.require_tolerance` refuses it outside ``[0, 1)``.  The
 seed is ``--seed``, ``seed``, then 0; the time grid ``--grid``, ``grid``, then
-the library's default scan grid.
+the library's default scan grid.  A JSON ``null`` in an optional field
+(``seed``, ``grid``, ``tolerances``, ``generator.form`` and the rest) means the
+field is absent; a required one (``dim``, ``generator``, ``coeff``, ``jump_ops``)
+is refused.
 ``evolve`` refuses, with exit 1, an evolved state whose trace drifted from the
 input's by more than ``TRACE_TOL``: its propagator lost accuracy.
 """
@@ -183,7 +186,7 @@ def _parse_grid_spec(spec: str) -> tuple:
         if start <= 0:
             raise ConfigError("--grid: log spacing needs start > 0")
         return tuple(np.geomspace(start, stop, points))
-    if parts[3] in ("lin", "linear"):
+    if parts[3] == "lin":
         return tuple(np.linspace(start, stop, points))
     raise ConfigError(f"--grid: spacing must be 'log' or 'lin', got {parts[3]!r}")
 
@@ -219,7 +222,8 @@ def load_config(args) -> ProblemConfig:
     has_jumps = "jump_ops" in gen
     if has_coeff == has_jumps:
         raise ConfigError("generator: exactly one of 'coeff' (GKS) or 'jump_ops' (Lindblad) required")
-    form = gen.get("form", "gks" if has_coeff else "lindblad")
+    default_form = "gks" if has_coeff else "lindblad"
+    form = _first_set(("generator.form", gen.get("form")), ("default", default_form))[1]
     if form not in ("gks", "lindblad") or (form == "gks") != has_coeff:
         raise ConfigError(f"generator.form {form!r} does not match the supplied fields")
 
@@ -244,7 +248,7 @@ def load_config(args) -> ProblemConfig:
             lindblad = LindbladGenerator(dim=dim, hamiltonian=hamiltonian, jump_ops=jumps)
             gks = lindblad_to_gks(lindblad, basis)
 
-    tolerances = raw.get("tolerances", {})
+    tolerances = _first_set(("tolerances", raw.get("tolerances")), ("default", {}))[1]
     if not isinstance(tolerances, dict):
         raise ConfigError("tolerances: expected a JSON object")
     source, tolerance = _first_set(
@@ -261,7 +265,7 @@ def load_config(args) -> ProblemConfig:
     with _naming(source):
         tolerance = require_tolerance(_real_from_json(tolerance, source))
 
-    source, seed = _first_set(("--seed", args.seed), ("seed", raw.get("seed", 0)))
+    source, seed = _first_set(("--seed", args.seed), ("seed", raw.get("seed")), ("seed", 0))
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"{source}: expected an integer >= 0, got {seed!r}")
 

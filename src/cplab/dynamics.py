@@ -57,7 +57,7 @@ _CHOI_AGREEMENT = 1e-10
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian state of trace 1 within ``TRACE_TOL``, positive semidefinite by
-    :func:`psd_margin` at ``tol``.
+    :func:`_hermitian_margin` at ``tol``.
 
     ``matrix`` is stored as a read-only complex copy of the validated array,
     and ``dim`` as an ``int``.
@@ -179,7 +179,7 @@ def choi_matrix(m: Superoperator) -> np.ndarray:
 def is_completely_positive(g: GKSGenerator, tol: float = POSITIVITY_TOL) -> CPVerdict:
     """Decide complete positivity of the semigroup generated by ``g``.
 
-    The verdict is :func:`psd_margin` of ``C``, the same test that gates
+    The verdict is :func:`_hermitian_margin` of ``C``, the same test that gates
     :func:`construct_witness` and :func:`gks_to_lindblad`; ``C`` was
     validated when ``g`` was built and is not checked again.  The Choi matrix
     of ``L``, compressed onto the orthogonal complement of the maximally

@@ -10,9 +10,9 @@ Conventions used throughout the package:
 * Hermiticity is checked relative to ``max(1, ||M||_F)`` with tolerance
   ``HERMITICITY_TOL``.  One core, :func:`_hermitian_margin`, makes every positivity
   decision, ``lambda_min(M) >= -eps_pos(M, tol)``, for ``C``, a state or the states
-  of a scan, on a matrix or a stack that its caller validated or computed.
-  :func:`psd_margin` is the core for one outside matrix after :func:`require_hermitian`,
-  :func:`min_eigenvalue` its ``lambda_min``.  A tolerance must be finite and in
+  of a scan, on a matrix or a stack that its caller validated or computed; an
+  outside matrix goes through :func:`require_hermitian` first, as in
+  :func:`min_eigenvalue`.  A tolerance must be finite and in
   ``[0, 1)`` (:func:`require_tolerance`), and a matrix whose norm overflows or is
   NaN gets :class:`NonFinite`, not an infinite cutoff (:func:`eps_pos`).
 * :func:`matrix_exp` is numpy-only scaling and squaring with the degree-30
@@ -150,8 +150,8 @@ def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
 
 
 def min_eigenvalue(m) -> float:
-    """Smallest eigenvalue of a Hermitian matrix: the ``lambda_min`` of :func:`psd_margin`."""
-    return psd_margin(m)[0]
+    """Smallest eigenvalue of a Hermitian matrix: the ``lambda_min`` of :func:`_hermitian_margin`."""
+    return _hermitian_margin(require_hermitian(m))[0]
 
 
 def _hermitian_margin(arr: np.ndarray, tol: float = POSITIVITY_TOL):
@@ -168,13 +168,6 @@ def _hermitian_margin(arr: np.ndarray, tol: float = POSITIVITY_TOL):
     cutoff = eps_pos(arr, tol)
     low = np.linalg.eigvalsh(sym)[..., 0]
     return (float(low) if low.ndim == 0 else low), cutoff, sym
-
-
-def psd_margin(m, tol: float = POSITIVITY_TOL) -> tuple[float, float]:
-    """``(lambda_min, cutoff)`` of :func:`_hermitian_margin` for one matrix checked by
-    :func:`require_hermitian` (a stack raises :class:`NonSquare`); PSD iff
-    ``lambda_min >= -cutoff``, both of the complex matrix a generator would store."""
-    return _hermitian_margin(require_hermitian(m), tol)[:2]
 
 
 def _block_size(count: int) -> int:

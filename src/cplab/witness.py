@@ -40,6 +40,7 @@ from .errors import (
 from .generator import GKSGenerator, superoperator_of
 from .linalg import (
     POSITIVITY_TOL,
+    SIMILARITY_TOL,
     _frozen,
     _hermitian_margin,
     fro_norm,
@@ -47,11 +48,9 @@ from .linalg import (
     similarity_to_transpose,
 )
 
-#: Default scan grid; negativity is guaranteed only near t = 0, so the
-#: spacing is logarithmic.
-DEFAULT_SCAN_GRID = tuple(np.geomspace(1e-4, 1.0, 30))
-
-_PAIR_TOL = 1e-8
+#: Default scan grid, read-only: the ``times`` of every default scan.  Negativity is
+#: guaranteed only near t = 0, so the spacing is logarithmic.
+DEFAULT_SCAN_GRID = _frozen(np.geomspace(1e-4, 1.0, 30))
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,10 +78,10 @@ class WitnessCandidate:
         scale = max(1.0, fro_norm(w_op))
         _require_orthogonal(self.phi, self.psi)
         psi_dag = self.psi_matrix_dagger
-        if fro_norm(self.phi_matrix @ psi_dag - w_op) > _PAIR_TOL * scale:
+        if fro_norm(self.phi_matrix @ psi_dag - w_op) > SIMILARITY_TOL * scale:
             raise InconsistentVerdict("phi_matrix @ psi_matrix_dagger does not reproduce W")
         signed = psi_dag @ self.phi_matrix
-        if fro_norm(signed - self.transpose_sign * w_op.T) > _PAIR_TOL * scale:
+        if fro_norm(signed - self.transpose_sign * w_op.T) > SIMILARITY_TOL * scale:
             raise InconsistentVerdict("psi_matrix_dagger @ phi_matrix does not reproduce +-W^T")
         if abs(self.quadratic_form) > 1e-8 and np.sign(self.value) != np.sign(self.quadratic_form):
             raise InconsistentVerdict(
@@ -113,10 +112,6 @@ def _require_grid(times) -> np.ndarray:
     if t.size == 0 or not np.all(np.isfinite(t) & (t >= 0)) or np.any(np.diff(t) <= 0):
         raise InvalidGrid("time grid must be nonempty, finite, nonnegative and strictly increasing")
     return t
-
-
-#: :data:`DEFAULT_SCAN_GRID`, validated once: the read-only times of every default scan.
-_DEFAULT_TIMES = _frozen(_require_grid(DEFAULT_SCAN_GRID))
 
 
 def _require_orthogonal(phi, psi) -> None:
@@ -190,7 +185,7 @@ def _candidate_from_direction(
     plus, minus = fro_norm(signed - w_op.T), fro_norm(signed + w_op.T)
     sign = 1 if plus <= minus else -1
     # The solver's P conjugates W into W^T by construction; an override may not.
-    if phi_matrix is not None and min(plus, minus) > _PAIR_TOL * max(1.0, fro_norm(w_op)):
+    if phi_matrix is not None and min(plus, minus) > SIMILARITY_TOL * max(1.0, fro_norm(w_op)):
         raise InvalidSimilarity("phi_matrix does not conjugate W into +-W^T")
     phi_v = phi_m.reshape(-1)
     psi_v = psi_dag.conj().T.reshape(-1)
@@ -217,7 +212,7 @@ def construct_witness(
 ):
     """Build a witness for the most negative direction of the coefficient matrix.
 
-    Returns :class:`NoNegativeDirection` exactly when :func:`psd_margin`
+    Returns :class:`NoNegativeDirection` exactly when :func:`~cplab.linalg._hermitian_margin`
     finds ``C`` PSD at ``tol``, the test of :func:`is_completely_positive`;
     ``C`` is read as validated by the generator, and the direction is the
     first eigenvector of the symmetrized ``C`` that the test decided on.
@@ -257,10 +252,10 @@ def negativity_scan(
     overlap values unnormalized.  ``first_negative_time`` is the earliest
     grid time whose evolved state the one positivity decision,
     :func:`~cplab.linalg._hermitian_margin`, finds not PSD at ``tol``.
-    Without ``t_grid`` the scan runs on :data:`DEFAULT_SCAN_GRID`, checked
-    once at import, and ``times`` is that shared read-only array.
+    Without ``t_grid`` the scan runs on :data:`DEFAULT_SCAN_GRID`, and
+    ``times`` is that shared read-only array.
     """
-    times = _DEFAULT_TIMES if t_grid is None else _require_grid(t_grid)
+    times = DEFAULT_SCAN_GRID if t_grid is None else _require_grid(t_grid)
     phi_v, psi_v = _pair_vectors(phi, psi, g.dim * g.dim)
     psi_v = psi_v / fro_norm(psi_v)
     states = evolve(g, np.outer(psi_v, psi_v.conj()), times)

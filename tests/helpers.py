@@ -14,7 +14,7 @@ from cplab import (
     standard_basis,
 )
 from cplab.errors import CplabError, SolverFailure
-from cplab.linalg import POSITIVITY_TOL, eps_pos, fro_norm, psd_margin, require_square
+from cplab.linalg import POSITIVITY_TOL, eps_pos, fro_norm, require_square
 from cplab.witness import _candidate_from_direction
 
 
@@ -245,7 +245,7 @@ def symmetric_case_witness(g: GKSGenerator, tol: float = POSITIVITY_TOL):
     if imag_dev > 1e-10 * max(1.0, fro_norm(g.coeff)):
         return NotApplicable(reason=f"coefficient matrix has imaginary entries up to {imag_dev:.3e}")
 
-    low, cutoff = psd_margin(g.coeff, tol)
+    low, cutoff = min_eigenvalue(g.coeff), eps_pos(g.coeff, tol)
     if low >= -cutoff:
         return NoNegativeDirection(min_coeff_eigenvalue=low)
     # The real driver keeps the direction real.

@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 
 import cplab
-from cplab import Superoperator, tensor_extension
+from cplab import NoNegativeDirection, Superoperator, tensor_extension
 from cplab.cli import build_parser, load_config, main
 from cplab.linalg import POSITIVITY_TOL, eps_pos, min_eigenvalue
 
@@ -25,6 +25,7 @@ from helpers import (
 )
 
 DATA = Path(__file__).parent / "data"
+NEGATIVE_GENERATOR = json.loads((DATA / "config_negative.json").read_text())["generator"]
 
 
 def _to_json(m):
@@ -746,6 +747,22 @@ _PRECEDENCE_CASES = {
         "config error: tolerances.positivity: ",
     ),
     "seed-refused-before-grid": ("scan", {"seed": True, "grid": 0.5}, [], "config error: seed: "),
+    # A null optional field is an absent one.
+    "null-seed-is-the-default": (
+        "witness",
+        {"seed": None},
+        [],
+        {"provenance.seed": 0, "witness.phi": _Like({"seed": 0})},
+    ),
+    "null-tolerances-is-the-default": (
+        "check-cp", {"tolerances": None}, [], {"provenance.tolerance": POSITIVITY_TOL}
+    ),
+    "null-form-is-inferred": (
+        "check-cp",
+        {"generator": {**NEGATIVE_GENERATOR, "form": None}},
+        [],
+        {"verdict": _Like({}), "provenance.config.generator.form": None},
+    ),
     "unreadable-config-before-bad-grid": (
         "scan",
         None,
@@ -781,6 +798,13 @@ def test_flag_then_config_then_default(command, fields, flags, expected, tmp_pat
             assert (got == other) == want.equal
         else:
             assert got == want
+
+
+def test_report_invariant_is_enforced(monkeypatch, capsys):
+    """A non-CP verdict without a witness is not reported: ``check-cp`` exits 1."""
+    monkeypatch.setattr("cplab.cli.construct_witness", lambda *a, **k: NoNegativeDirection(0.0))
+    err = _assert_typed_error(["check-cp", *NEGATIVE], capsys)
+    assert "report invariant violated" in err
 
 
 def _at(report, path):
@@ -902,6 +926,10 @@ CLI_ERROR_CASES = {
     "grid-unknown-spacing": (
         ["scan", *_NEG, "--grid", "1e-3:1:5:cubic"], None, None, None, "spacing must be"
     ),
+    "grid-spacing-linear": (
+        ["scan", *_NEG, "--grid", "0:1:3:linear"], None, None, None,
+        "spacing must be 'log' or 'lin'",
+    ),
     "jump-op-3x3-at-d2": (
         _CHECK,
         {"dim": 2, "generator": {"jump_ops": [np.diag([1, -1, 0]).tolist()]}},
@@ -951,7 +979,13 @@ CLI_ERROR_CASES = {
         None,
         "dim = 2",
     ),
+    # A null required field is refused.
     "coeff-null": (_CHECK, {"dim": 2, "generator": {"coeff": None}}, None, None, "generator.coeff"),
+    "jump-ops-null": (
+        _CHECK, {"dim": 2, "generator": {"jump_ops": None}}, None, None, "generator.jump_ops"
+    ),
+    "dim-null": (_CHECK, {**_GKS2, "dim": None}, None, None, "dim: expected an integer"),
+    "generator-null": (_CHECK, {"dim": 2, "generator": None}, None, None, "'generator'"),
     "coeff-leaf-string": (
         _CHECK,
         {"dim": 2, "generator": {"coeff": [[1, "a", 0], [0, 1, 0], [0, 0, 1]]}},

@@ -35,7 +35,7 @@ from cplab.errors import (
     SolverFailure,
 )
 from cplab import linalg
-from cplab.linalg import POSITIVITY_TOL, eps_pos, fro_norm, psd_margin, require_tolerance
+from cplab.linalg import POSITIVITY_TOL, eps_pos, fro_norm, require_hermitian, require_tolerance
 from cplab.dynamics import evolve
 from cplab.witness import DEFAULT_SCAN_GRID, negativity_scan
 
@@ -244,13 +244,21 @@ class TestMinEigenvalue:
         assert min_eigenvalue(proj) == pytest.approx(0.0, abs=1e-14)
 
 
+def _outside_margin(m, tol):
+    """``(lambda_min, cutoff)`` of the positivity core for one outside matrix."""
+    return linalg._hermitian_margin(require_hermitian(m), tol)[:2]
+
+
 class TestPsdMargin:
+    """The positivity core's ``(lambda_min, cutoff)``, for one matrix checked by
+    ``require_hermitian`` and for a stack."""
+
     @pytest.mark.parametrize("tol", [0.0, 1e-12, POSITIVITY_TOL, 1e-3])
     def test_matrix_is_min_eigenvalue_and_eps_pos_bitwise(self, tol):
         rng = np.random.default_rng(60)
         for d, scale in ((2, 0.1), (3, 1.0), (5, 40.0)):
             m = random_hermitian(d, rng, scale)
-            low, cutoff = psd_margin(m, tol)
+            low, cutoff = _outside_margin(m, tol)
             assert (type(low), type(cutoff)) == (float, float)
             assert low == min_eigenvalue(m)
             assert cutoff == eps_pos(m, tol)
@@ -275,15 +283,17 @@ class TestPsdMargin:
             assert cutoffs[0] == POSITIVITY_TOL
 
     def test_stack_is_not_a_matrix(self):
-        """``psd_margin`` and ``min_eigenvalue`` take one outside matrix; a stack is refused."""
+        """``require_hermitian`` and ``min_eigenvalue`` take one outside matrix; a stack is refused."""
         stack = np.stack([np.eye(2), np.eye(2)])
-        for call in (psd_margin, min_eigenvalue):
+        for call in (require_hermitian, min_eigenvalue):
             with pytest.raises(NonSquare):
                 call(stack)
 
     def test_nan_matrix_raises_non_finite(self):
-        with pytest.raises(NonFinite):
-            psd_margin(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        m = np.array([[np.nan, 0.0], [0.0, 1.0]])
+        for call in (min_eigenvalue, linalg._hermitian_margin):
+            with pytest.raises(NonFinite):
+                call(m)
 
     @pytest.mark.parametrize("tol", [0.0, POSITIVITY_TOL])
     def test_agrees_with_coeff_at_cutoff(self, tol):
@@ -294,7 +304,7 @@ class TestPsdMargin:
             verdicts = []
             for ulps in (-1, 0, 1):
                 c = coeff_at_cutoff(c0, tol, ulps)
-                low, cutoff = psd_margin(c, tol)
+                low, cutoff = _outside_margin(c, tol)
                 assert (low, cutoff) == (min_eigenvalue(c), eps_pos(c, tol))
                 verdicts.append(low >= -cutoff)
             assert verdicts == [False, True, True]
@@ -343,7 +353,7 @@ class TestRequireTolerance:
             "conversion": lambda: gks_to_lindblad(g, tol),
             "state": lambda: DensityMatrix(dim=2, matrix=np.eye(2) / 2, tol=tol),
             "scan": lambda: negativity_scan(g, bell, np.array([1.0, 0.0, 0.0, 1.0]), tol=tol),
-            "psd_margin": lambda: psd_margin(np.eye(2), tol),
+            "margin": lambda: _outside_margin(np.eye(2), tol),
         }
         for call in calls.values():
             with pytest.raises(InvalidTolerance, match=r"tolerance must be in \[0, 1\)"):
@@ -454,6 +464,24 @@ class TestSimilarityToTranspose:
             assert (p is None) == (ref is None)
             if ref is not None:
                 assert fro_norm(p - ref) <= 1e-12 * fro_norm(ref)
+
+    def test_empty_nullspace_keeps_the_last_right_singular_vector(self, monkeypatch):
+        """If roundoff left no singular value below the nullspace threshold, the basis
+        is the one matrix built from the last right singular vector."""
+        svd = np.linalg.svd
+        seen = []
+
+        def no_small_values(a):
+            u, sing, vh = svd(a)
+            seen.append(vh)
+            return u, np.ones_like(sing), vh
+
+        monkeypatch.setattr(np.linalg, "svd", no_small_values)
+        w = np.array([[0.0, 1.0], [0.0, 0.0]])
+        basis = linalg._transpose_commutant_basis(w)
+        (vh,) = seen
+        assert basis.shape == (1, 2, 2)
+        assert np.array_equal(basis[0], vh[-1].conj().reshape(2, 2).T)
 
 
 def _solution_or_none(solve, w, rng):

@@ -9,10 +9,15 @@ matched by name, so a same-named definition elsewhere also counts as a use.
 A name assigned at module level passes if package code reads it or
 ``cplab.__all__`` exports it; dunders such as ``__all__`` are exempt.
 Both sources are read with ``ast``, so nothing of the benchmark is executed.
+In the other direction, every ``:func:``, ``:class:``, ``:data:`` and ``:meth:``
+target in the package's docstrings and comments names an object of that kind in
+``cplab`` or one of its modules.
 """
 
 import ast
 import importlib
+import inspect
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -113,3 +118,45 @@ def test_overrides_of_outside_bases_are_found():
     tree = ast.parse((SRC / "cli.py").read_text())
     overrides = _outside_overrides("cli.py", tree)
     assert {n.name for n in ast.walk(tree) if id(n) in overrides} == {"error"}
+
+
+#: A cross-reference such as ``:func:`~cplab.linalg._hermitian_margin```: its role and target.
+_CROSS_REFERENCE = re.compile(r":(func|class|data|meth):`~?([\w.]+)`")
+
+#: What each role's target must be.
+_ROLE_KINDS = {
+    "func": callable,
+    "meth": callable,
+    "class": inspect.isclass,
+    "data": lambda obj: obj is not None and not callable(obj),
+}
+
+
+def _resolve(target: str, roots: list):
+    """The object that ``target`` names in the first of ``roots`` that has it, else None."""
+    for root in roots:
+        obj = root
+        for part in target.removeprefix("cplab.").split("."):
+            obj = getattr(obj, part, None)
+        if obj is not None:
+            return obj
+    return None
+
+
+def test_every_cross_reference_resolves():
+    references = [
+        (path.name, role, target)
+        for path in sorted(SRC.glob("*.py"))
+        for role, target in _CROSS_REFERENCE.findall(path.read_text())
+    ]
+    assert len(references) > 50
+    roots = [cplab] + [
+        importlib.import_module(f"cplab.{path.stem}") for path in sorted(SRC.glob("*.py"))
+        if path.stem != "__init__"
+    ]
+    broken = [
+        f"{name}: :{role}:`{target}`"
+        for name, role, target in references
+        if not _ROLE_KINDS[role](_resolve(target, roots))
+    ]
+    assert not broken

@@ -330,6 +330,15 @@ class TestNegativityScan:
         with pytest.raises(ValueError):
             scan.times[0] = 0.0
 
+    def test_default_scan_returns_the_default_grid(self):
+        """The default grid is a valid grid, and a default scan hands out that one array."""
+        grid = witness.DEFAULT_SCAN_GRID
+        assert not grid.flags.writeable
+        np.testing.assert_array_equal(witness._require_grid(grid), np.geomspace(1e-4, 1.0, 30))
+        g = _neg_generator()
+        candidate = construct_witness(g, rng=np.random.default_rng(11))
+        assert negativity_scan(g, candidate.psi, candidate.phi).times is grid
+
     def test_non_finite_grids_rejected(self):
         g = _neg_generator()
         psi = np.arange(1, 5, dtype=complex)
