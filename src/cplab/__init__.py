@@ -8,7 +8,6 @@ from .dynamics import (
     choi_matrix,
     evolution_map,
     is_completely_positive,
-    tensor_extension,
 )
 from .generator import (
     GKSGenerator,
@@ -19,7 +18,6 @@ from .generator import (
     superoperator_of,
 )
 from .linalg import (
-    hermitian_eig,
     matrix_exp,
     min_eigenvalue,
     similarity_to_transpose,
@@ -53,7 +51,6 @@ __all__ = [
     "direction_operator",
     "evolution_map",
     "gks_to_lindblad",
-    "hermitian_eig",
     "is_completely_positive",
     "lindblad_to_gks",
     "matrix_exp",
@@ -63,6 +60,5 @@ __all__ = [
     "similarity_to_transpose",
     "standard_basis",
     "superoperator_of",
-    "tensor_extension",
     "__version__",
 ]

@@ -222,10 +222,9 @@ def load_config(args) -> ProblemConfig:
     has_jumps = "jump_ops" in gen
     if has_coeff == has_jumps:
         raise ConfigError("generator: exactly one of 'coeff' (GKS) or 'jump_ops' (Lindblad) required")
-    default_form = "gks" if has_coeff else "lindblad"
-    form = _first_set(("generator.form", gen.get("form")), ("default", default_form))[1]
-    if form not in ("gks", "lindblad") or (form == "gks") != has_coeff:
-        raise ConfigError(f"generator.form {form!r} does not match the supplied fields")
+    form = "gks" if has_coeff else "lindblad"
+    if gen.get("form") not in (None, form):
+        raise ConfigError(f"generator.form {gen['form']!r} does not match the supplied fields")
 
     # Every array is shape-checked before the d^2 - 1 basis matrices are built;
     # a null hamiltonian or basis means the default, a null coeff or jump_ops is refused.

@@ -77,8 +77,6 @@ def fro_norm(m: np.ndarray) -> float:
 def require_tolerance(tol) -> float:
     """``tol`` as a float if it is finite and in ``[0, 1)``, else :class:`InvalidTolerance`:
     a cutoff ``tol * max(1, ||M||_F)`` from ``tol >= 1`` would find every generator CP."""
-    if type(tol) is float and 0.0 <= tol < 1.0:
-        return tol
     if isinstance(tol, bool) or not isinstance(tol, (float, int, np.floating, np.integer)):
         raise InvalidTolerance(f"tolerance must be a real number, got {tol!r}")
     value = float(tol)

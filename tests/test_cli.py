@@ -11,7 +11,8 @@ import pytest
 import scipy.linalg
 
 import cplab
-from cplab import NoNegativeDirection, Superoperator, tensor_extension
+from cplab import NoNegativeDirection, Superoperator
+from cplab.dynamics import tensor_extension
 from cplab.cli import build_parser, load_config, main
 from cplab.linalg import POSITIVITY_TOL, eps_pos, min_eigenvalue
 
@@ -875,6 +876,28 @@ CLI_ERROR_CASES = {
         None,
         "does not match",
     ),
+    # The form is read off the supplied fields; a non-null form must name that one.
+    "form-gks-beside-jump-ops": (
+        _CHECK,
+        {"dim": 2, "generator": {"form": "gks", "jump_ops": [[[0, 0], [1, 0]]]}},
+        None,
+        None,
+        "generator.form 'gks' does not match the supplied fields",
+    ),
+    "form-upper-case": (
+        _CHECK,
+        {"dim": 2, "generator": {**_GKS2["generator"], "form": "GKS"}},
+        None,
+        None,
+        "generator.form 'GKS' does not match the supplied fields",
+    ),
+    "form-not-a-string": (
+        _CHECK,
+        {"dim": 2, "generator": {**_GKS2["generator"], "form": 5}},
+        None,
+        None,
+        "generator.form 5 does not match the supplied fields",
+    ),
     "tolerances-not-object": (
         _CHECK, {**_GKS2, "tolerances": [1e-9]}, None, None, "tolerances: expected"
     ),
@@ -1163,6 +1186,31 @@ def test_overflow_refusal_prints_one_stderr_line(case, tmp_path):
     assert result.returncode == 1
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("cplab: ") and message in lines[0], result.stderr
+
+
+def _shifted_probe(d: int, seed: int, lam_min: float) -> dict:
+    """A ``random_hermitian`` C at ``d`` shifted to smallest eigenvalue ``lam_min``, zero H."""
+    c = random_hermitian(d * d - 1, np.random.default_rng(seed))
+    c -= (np.linalg.eigvalsh(c)[0] - lam_min) * np.eye(d * d - 1)
+    return {"dim": d, "generator": {"coeff": _to_json(c)}}
+
+
+def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """A ``witness`` report is the same bytes under one and two BLAS threads, on the d = 2
+    test config and on the d = 8 probe (lambda_min(C) = -0.5), each certified non-CP."""
+    probe = tmp_path / "probe_d8.json"
+    probe.write_text(json.dumps(_shifted_probe(8, 7, -0.5)))
+    for config in (DATA / "config_negative.json", probe):
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", "cplab.cli", "witness", "--config", str(config)],
+                env={**_env_with_src(), "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True,
+            )
+            for threads in ("1", "2")
+        ]
+        assert [r.returncode for r in runs] == [2, 2], runs[0].stderr
+        assert runs[0].stdout == runs[1].stdout and runs[0].stderr == runs[1].stderr, config.name
 
 
 def test_coeff_is_shape_checked_before_the_basis_is_built(tmp_path, monkeypatch, capsys):

@@ -19,9 +19,9 @@ from cplab import (
     lindblad_to_gks,
     standard_basis,
     superoperator_of,
-    tensor_extension,
 )
 from cplab import dynamics, generator
+from cplab.dynamics import tensor_extension
 from cplab.errors import (
     DimensionMismatch,
     InconsistentVerdict,

@@ -16,7 +16,6 @@ from cplab import (
     LindbladGenerator,
     Superoperator,
     construct_witness,
-    hermitian_eig,
     lindblad_to_gks,
     matrix_exp,
     min_eigenvalue,
@@ -35,7 +34,7 @@ from cplab.errors import (
     SolverFailure,
 )
 from cplab import linalg
-from cplab.linalg import POSITIVITY_TOL, eps_pos, fro_norm, require_hermitian, require_tolerance
+from cplab.linalg import POSITIVITY_TOL, eps_pos, fro_norm, hermitian_eig, require_hermitian, require_tolerance
 from cplab.dynamics import evolve
 from cplab.witness import DEFAULT_SCAN_GRID, negativity_scan
 

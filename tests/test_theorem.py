@@ -1,5 +1,6 @@
-"""The CP side of the paper's theorem as a property of the library: a CP
-generator shows no negativity.
+"""The paper's theorem as a property of the library: a CP generator shows no
+negativity, and a non-CP one gets a witness whose overlap rate is half of
+lambda_min(C).
 
 A Lindblad generator is completely positive, so the verdict says so, no
 witness exists, and the doubled dynamics keeps every entangled pair's evolved
@@ -7,7 +8,8 @@ state positive semidefinite on the default grid.  The property runs at the
 default tolerance only: at ``tol = 0`` roundoff in a rank-deficient ``C``
 reads as negative until the scale-free cutoff of ROADMAP item 3 lands.  User
 grids out to ``t = 1e3`` wait for item 7, whose propagator accuracy check
-such long grids need.  The non-CP side of the theorem lands with item 1.
+such long grids need.  On the non-CP side only the witness's rate is checked:
+that the default grid finds the negativity it certifies waits for item 1.
 """
 
 import numpy as np
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 from cplab import (
     LindbladGenerator,
     NoNegativeDirection,
+    WitnessCandidate,
     construct_witness,
     direction_operator,
     is_completely_positive,
@@ -27,7 +30,7 @@ from cplab import (
 )
 from cplab.linalg import POSITIVITY_TOL
 
-from helpers import random_pure_vector, random_traceless_hermitian
+from helpers import random_generator, random_hermitian, random_pure_vector, random_traceless_hermitian
 
 
 def _orthogonal_to(psi, rng):
@@ -70,3 +73,22 @@ def test_cp_generator_shows_no_negativity(d, examples):
             assert scan.first_negative_time is None
 
     holds()
+
+
+@pytest.mark.parametrize("r", [1e-4, 1e-2, 0.5])
+@pytest.mark.parametrize("d", range(2, 9))
+def test_non_cp_generator_gets_a_witness_at_half_lambda_min(d, r):
+    """C with ||C||_2 = 1 and lambda_min(C) = -r, under a random traceless H: the witness's
+    quadratic form is lambda_min(C) and its overlap rate half of it, negative."""
+    n = d * d - 1
+    for draw in range(3):
+        rng = np.random.default_rng([d, int(1 / r), draw])
+        c = random_hermitian(n, rng)
+        c /= np.linalg.norm(c, 2)
+        c -= (np.linalg.eigvalsh(c)[0] + r) * np.eye(n)
+        lam_min = np.linalg.eigvalsh(c)[0]
+        result = construct_witness(random_generator(d, rng, coeff=c), rng=rng, tol=POSITIVITY_TOL)
+        assert isinstance(result, WitnessCandidate)
+        assert result.quadratic_form == pytest.approx(lam_min, rel=0, abs=1e-12)
+        assert result.value < 0
+        assert result.value == pytest.approx(0.5 * result.quadratic_form, rel=1e-9, abs=0)

@@ -17,9 +17,9 @@ from cplab import (
     overlap_rate,
     similarity_to_transpose,
     standard_basis,
-    tensor_extension,
     witness,
 )
+from cplab.dynamics import tensor_extension
 from cplab.errors import (
     CplabError,
     InconsistentVerdict,
